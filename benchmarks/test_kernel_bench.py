@@ -5,25 +5,18 @@ Two gates, both on the 16x16 column-bypass multiplier:
 * **Lifetime sweep** (the PR 3 engine's flagship path): value plane +
   batched 12-corner arrival replay over a zero-heavy FIR operand stream
   -- the workload class the paper's lifetime experiments run (pause
-  frames / silent samples, Figs. 9-10 zero distributions).  The PR 3
-  baseline is the per-cell kernel end to end; the new default stack is
+  frames / silent samples, Figs. 9-10 zero distributions).  The
+  baseline is the per-cell reference interpreter
+  (:mod:`repro.timing.reference`) end to end; the default stack is
   fold -> SoA value plane -> sparse SoA replay, exactly what
-  ``AgingAwareMultiplier.run_lifetime`` now does.  Must be >= 2x.
+  ``AgingAwareMultiplier.run_lifetime`` does.  Must be >= 2x.
   The raw kernel (folding disabled) is timed and recorded too, with a
   looser anti-regression gate: its sparse replay only touches active
   (cell, pattern) entries, which is where bypassed columns pay off.
 * **DSP single-pass** (fig09/10 workload): one full engine run on a
-  long sparse FIR stream, per-cell baseline vs ``run(fold=True)``.
+  long sparse FIR stream, per-cell reference vs ``run(fold=True)``.
   Folding collapses the stream to its unique transitions, so this must
   be >= 5x.
-
-A third gate covers the **numba JIT backend** (``kernel="numba"``):
-when numba is importable, the compiled value-pass + arrival-replay
-kernels must beat the interpreted SoA stack by >= 3x on the same
-lifetime-sweep workload (bit-identity asserted first); without numba
-the test still runs, asserting the silent fallback to SoA is
-byte-identical, and records ``numba_available: false`` so the results
-file says why no speedup figure exists.
 
 Every comparison asserts bit-identical outputs and delays before
 timing claims are recorded in ``benchmarks/results/BENCH_kernel.json``.
@@ -38,8 +31,8 @@ import numpy as np
 from repro.aging.degradation import AgedCircuitFactory
 from repro.arith import column_bypass_multiplier
 from repro.timing import ArrivalReplay, CompiledCircuit, build_value_plane
-from repro.timing import jit
 from repro.timing.fold import fold_stimulus, unfold_stream
+from repro.timing.reference import reference_replay, reference_run
 from repro.workloads import sparse_fir_stream
 
 SWEEP_PATTERNS = 6_000
@@ -47,33 +40,25 @@ DSP_PATTERNS = 20_000
 TIMESTEPS = 12
 LIFETIME_YEARS = 7.0
 RESULTS = os.path.join(os.path.dirname(__file__), "results")
-#: The default stack (fold + SoA kernel) vs the PR 3 per-cell engine.
+#: The default stack (fold + SoA kernel) vs the per-cell reference.
 MIN_SPEEDUP_SWEEP = 2.0
 #: Anti-regression canary for the raw kernel with folding disabled.
 MIN_SPEEDUP_KERNEL = 1.1
 #: Folding gate on the fig09/10 DSP workload.
 MIN_SPEEDUP_DSP = 5.0
-#: Compiled numba kernels vs the interpreted SoA stack (only enforced
-#: when numba is importable; the fallback path is identity-gated).
-MIN_SPEEDUP_NUMBA = 3.0
 
 _RECORD = {}
 
 
-def _two_plane_sweep(netlist, technology, stimulus, scales, kernel):
-    """Time (value plane, replay) for one kernel; returns streams too."""
-    circuit = CompiledCircuit(netlist, technology, kernel=kernel)
-    t0 = time.perf_counter()
-    plane = build_value_plane(circuit, stimulus)
-    value_s = time.perf_counter() - t0
-    replayer = ArrivalReplay(circuit, plane)
+def _best_of_two(func):
+    """(fastest of two timed calls, last result)."""
     rounds = []
     result = None
     for _ in range(2):
         t0 = time.perf_counter()
-        result = replayer.replay(scales)
+        result = func()
         rounds.append(time.perf_counter() - t0)
-    return value_s, min(rounds), result
+    return min(rounds), result
 
 
 def test_lifetime_sweep_kernel_speedup(benchmark):
@@ -87,18 +72,24 @@ def test_lifetime_sweep_kernel_speedup(benchmark):
     scales = factory.lifetime_delay_scales(years)
     technology = factory.technology
 
-    # PR 3 baseline: per-cell value pass + per-cell pooled replay.
-    pc_value, pc_replay, pc_result = _two_plane_sweep(
-        netlist, technology, stimulus, scales, "percell"
-    )
+    circuit = CompiledCircuit(netlist, technology)
     # Raw levelized kernel, folding disabled.
-    soa_value, soa_replay, soa_result = _two_plane_sweep(
-        netlist, technology, stimulus, scales, "soa"
+    t0 = time.perf_counter()
+    plane = build_value_plane(circuit, stimulus)
+    soa_value = time.perf_counter() - t0
+    replayer = ArrivalReplay(circuit, plane)
+    soa_replay, soa_result = _best_of_two(lambda: replayer.replay(scales))
+    # Baseline: per-cell reference value pass + per-cell replay over
+    # the same plane.
+    t0 = time.perf_counter()
+    reference_run(circuit, stimulus)
+    pc_value = time.perf_counter() - t0
+    pc_replay, pc_result = _best_of_two(
+        lambda: reference_replay(circuit, plane, scales)
     )
 
-    # The new default stack (what run_lifetime does): fold the stream,
+    # The default stack (what run_lifetime does): fold the stream,
     # plane + replay the unique transitions, scatter every corner back.
-    circuit = CompiledCircuit(netlist, technology)
     timings = {}
 
     def folded_sweep():
@@ -122,11 +113,11 @@ def test_lifetime_sweep_kernel_speedup(benchmark):
             assert np.array_equal(got.delays, want.delays)
             assert np.array_equal(got.outputs["p"], want.outputs["p"])
 
-    pr3_s = pc_value + pc_replay
+    reference_s = pc_value + pc_replay
     kernel_s = soa_value + soa_replay
     stack_s = timings["stack"]
-    kernel_speedup = pr3_s / kernel_s
-    stack_speedup = pr3_s / stack_s
+    kernel_speedup = reference_s / kernel_s
+    stack_speedup = reference_s / stack_s
     _RECORD["sweep"] = {
         "experiment": (
             "16x16 column-bypass lifetime sweep, zero-heavy FIR stream"
@@ -137,7 +128,7 @@ def test_lifetime_sweep_kernel_speedup(benchmark):
         "bit_identical": True,
         "percell_value_seconds": round(pc_value, 4),
         "percell_replay_seconds": round(pc_replay, 4),
-        "percell_seconds": round(pr3_s, 4),
+        "percell_seconds": round(reference_s, 4),
         "soa_value_seconds": round(soa_value, 4),
         "soa_replay_seconds": round(soa_replay, 4),
         "soa_seconds": round(kernel_s, 4),
@@ -149,100 +140,29 @@ def test_lifetime_sweep_kernel_speedup(benchmark):
     _flush()
     print()
     print(
-        "sweep: pr3 %.3fs | soa %.3fs (%.2fx) | fold+soa %.3fs (%.2fx)"
-        % (pr3_s, kernel_s, kernel_speedup, stack_s, stack_speedup)
+        "sweep: reference %.3fs | soa %.3fs (%.2fx) | fold+soa %.3fs"
+        " (%.2fx)"
+        % (reference_s, kernel_s, kernel_speedup, stack_s, stack_speedup)
     )
     assert kernel_speedup >= MIN_SPEEDUP_KERNEL, (
-        "raw SoA kernel regressed to %.2fx of the per-cell baseline"
+        "raw SoA kernel regressed to %.2fx of the per-cell reference"
         % kernel_speedup
     )
     assert stack_speedup >= MIN_SPEEDUP_SWEEP, (
-        "fold+SoA lifetime sweep only %.2fx faster than the PR 3 engine"
+        "fold+SoA lifetime sweep only %.2fx faster than the per-cell"
+        " reference"
         % stack_speedup
     )
 
 
-def test_numba_backend_speedup(benchmark):
-    """JIT backend gate: >= 3x over interpreted SoA with numba, exact
-    fallback identity without it (both recorded to the results file)."""
-    netlist = column_bypass_multiplier(16)
-    factory = AgedCircuitFactory.characterize(netlist, num_patterns=400)
-    md, mr = sparse_fir_stream(16, SWEEP_PATTERNS, seed=1)
-    stimulus = {"md": md, "mr": mr}
-    years = [
-        LIFETIME_YEARS * i / (TIMESTEPS - 1) for i in range(TIMESTEPS)
-    ]
-    scales = factory.lifetime_delay_scales(years)
-    technology = factory.technology
-
-    numba_available = jit.warmup()
-
-    soa_value, soa_replay, soa_result = _two_plane_sweep(
-        netlist, technology, stimulus, scales, "soa"
-    )
-
-    timings = {}
-
-    def numba_sweep():
-        value_s, replay_s, result = _two_plane_sweep(
-            netlist, technology, stimulus, scales, "numba"
-        )
-        timings["value"] = value_s
-        timings["replay"] = replay_s
-        return result
-
-    numba_result = benchmark.pedantic(numba_sweep, rounds=1, iterations=1)
-
-    for j in range(len(years)):
-        want = soa_result.stream_result(j)
-        got = numba_result.stream_result(j)
-        assert np.array_equal(got.delays, want.delays)
-        assert np.array_equal(got.outputs["p"], want.outputs["p"])
-
-    soa_s = soa_value + soa_replay
-    numba_s = timings["value"] + timings["replay"]
-    speedup = soa_s / numba_s
-    _RECORD["numba"] = {
-        "experiment": (
-            "16x16 column-bypass lifetime sweep, numba JIT backend"
-        ),
-        "num_patterns": SWEEP_PATTERNS,
-        "timesteps": TIMESTEPS,
-        "numba_available": bool(numba_available),
-        "bit_identical": True,
-        "soa_seconds": round(soa_s, 4),
-        "numba_value_seconds": round(timings["value"], 4),
-        "numba_replay_seconds": round(timings["replay"], 4),
-        "numba_seconds": round(numba_s, 4),
-        "numba_speedup": round(speedup, 2),
-    }
-    _flush()
-    print()
-    print(
-        "numba(%s): soa %.3fs | numba %.3fs = %.2fx"
-        % (
-            "jit" if numba_available else "fallback",
-            soa_s,
-            numba_s,
-            speedup,
-        )
-    )
-    if numba_available:
-        assert speedup >= MIN_SPEEDUP_NUMBA, (
-            "numba backend only %.2fx faster than interpreted SoA"
-            % speedup
-        )
-
-
 def test_dsp_fold_speedup(benchmark):
     netlist = column_bypass_multiplier(16)
-    circuit_pc = CompiledCircuit(netlist, kernel="percell")
     circuit_soa = CompiledCircuit(netlist)
     md, mr = sparse_fir_stream(16, DSP_PATTERNS, seed=5)
     stimulus = {"md": md, "mr": mr}
 
     t0 = time.perf_counter()
-    want = circuit_pc.run(stimulus)
+    want = reference_run(circuit_soa, stimulus)
     percell_s = time.perf_counter() - t0
 
     timings = {}
@@ -278,11 +198,12 @@ def test_dsp_fold_speedup(benchmark):
     _flush()
     print()
     print(
-        "dsp: percell %.3fs | fold+soa %.3fs = %.2fx (fold factor %.1f)"
+        "dsp: reference %.3fs | fold+soa %.3fs = %.2fx (fold factor"
+        " %.1f)"
         % (percell_s, fold_s, speedup, plan.fold_factor)
     )
     assert speedup >= MIN_SPEEDUP_DSP, (
-        "folded DSP run only %.2fx faster than the per-cell baseline"
+        "folded DSP run only %.2fx faster than the per-cell reference"
         % speedup
     )
 

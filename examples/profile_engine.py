@@ -17,7 +17,7 @@ instead.  Pass ``--cprofile`` for a function-level cProfile of the
 hot phases on top of the wall-clock split.
 
 Run:  python examples/profile_engine.py --width 16 --workload fir
-      python examples/profile_engine.py --kernel percell --no-fold
+      python examples/profile_engine.py --workload uniform --no-fold
       python examples/profile_engine.py --cprofile
 """
 
@@ -45,9 +45,6 @@ def parse_args():
                         help="aging corners to replay (default 12)")
     parser.add_argument("--years", type=float, default=7.0,
                         help="lifetime horizon in years (default 7)")
-    parser.add_argument("--kernel", choices=("soa", "percell"),
-                        default="soa",
-                        help="gate kernel to profile (default soa)")
     parser.add_argument("--workload", choices=("fir", "uniform"),
                         default="fir",
                         help="operand stream: zero-heavy FIR or "
@@ -78,7 +75,7 @@ def main():
     phases = {}
 
     t0 = time.perf_counter()
-    circuit = CompiledCircuit(netlist, kernel=args.kernel)
+    circuit = CompiledCircuit(netlist)
     factory = AgedCircuitFactory.characterize(netlist, num_patterns=400)
     phases["compile"] = time.perf_counter() - t0
     scales = factory.lifetime_delay_scales(years)
@@ -122,10 +119,9 @@ def main():
         streams = replayed.stream_results()
 
     print(
-        "%dx%d column-bypass | %d patterns (%s) | %d corners | "
-        "kernel=%s"
+        "%dx%d column-bypass | %d patterns (%s) | %d corners"
         % (args.width, args.width, args.patterns, args.workload,
-           args.timesteps, args.kernel)
+           args.timesteps)
     )
     if plan is not None:
         print(

@@ -180,9 +180,6 @@ class AgedCircuitFactory:
     netlist: Netlist
     stress: StressProfile
     technology: Technology = DEFAULT_TECHNOLOGY
-    #: Execution backend every compiled circuit uses (``"numba"`` falls
-    #: back to ``"soa"`` when numba is absent; results are identical).
-    kernel: str = "soa"
 
     def __post_init__(self):
         self._cache: Dict[float, CompiledCircuit] = {}
@@ -197,7 +194,6 @@ class AgedCircuitFactory:
         num_patterns: int = 2000,
         seed: int = 2014,
         stimulus: Optional[Dict[str, np.ndarray]] = None,
-        kernel: str = "soa",
     ) -> "AgedCircuitFactory":
         """Measure stress on a random (or supplied) workload."""
         stress = cls.characterize_stress(
@@ -207,7 +203,7 @@ class AgedCircuitFactory:
             seed=seed,
             stimulus=stimulus,
         )
-        return cls(netlist, stress, technology, kernel)
+        return cls(netlist, stress, technology)
 
     @staticmethod
     def characterize_stress(
@@ -243,12 +239,12 @@ class AgedCircuitFactory:
         if key not in self._cache:
             if years == 0:
                 self._cache[key] = CompiledCircuit(
-                    self.netlist, self.technology, kernel=self.kernel
+                    self.netlist, self.technology
                 )
             else:
                 self._cache[key] = CompiledCircuit(
                     self.netlist, self.technology,
-                    self.delay_scale(years), kernel=self.kernel,
+                    self.delay_scale(years),
                 )
         return self._cache[key]
 

@@ -196,3 +196,25 @@ DEFAULT_TECHNOLOGY = Technology()
 
 #: The default architecture-simulation configuration.
 DEFAULT_SIM_CONFIG = SimulationConfig()
+
+
+#: The single gate kernel's name, as serialized specs spell it.  Specs
+#: and job envelopes written while the engine still had selectable
+#: kernels carry ``"kernel": "soa"``; that key is accepted (and means
+#: nothing) when it names this kernel.
+LEGACY_KERNEL = "soa"
+
+
+def check_legacy_kernel(spec) -> None:
+    """Reject a mapping whose legacy ``kernel`` key names another kernel.
+
+    A missing key or ``"soa"`` passes; anything else raises
+    :class:`~repro.errors.ConfigError`, since no other execution path
+    exists to honour it.
+    """
+    kernel = spec.get("kernel", LEGACY_KERNEL)
+    if kernel != LEGACY_KERNEL:
+        raise ConfigError(
+            "kernel %r is not available: the only gate kernel is %r"
+            % (kernel, LEGACY_KERNEL)
+        )

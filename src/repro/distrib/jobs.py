@@ -25,9 +25,8 @@ Job kinds:
 
 ``experiment``
     ``{"job": "experiment", "name": "fig7", "scale": 1.0,
-    "characterize_patterns": 2000, "kernel": "soa"}`` -- run one
-    registered experiment.  Result:
-    ``{"title": ..., "rendered": ..., "elapsed": ...}``.
+    "characterize_patterns": 2000}`` -- run one registered experiment.
+    Result: ``{"title": ..., "rendered": ..., "elapsed": ...}``.
 
 ``variant_shard``
     ``{"job": "variant_shard", "sweep": {...}, "engine": "delta",
@@ -40,6 +39,9 @@ Job kinds:
 
 ``ping``
     Liveness probe.  Result: ``{"pong": true}``.
+
+A legacy ``"kernel"`` key in a request is accepted only as ``"soa"``
+(see :func:`repro.config.check_legacy_kernel`).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import json
 import time
 from typing import Dict
 
+from ..config import check_legacy_kernel
 from ..errors import ConfigError
 
 #: Job kinds :func:`run_job` dispatches on.
@@ -80,20 +83,18 @@ def _campaign_for(spec: Dict):
     return _STATE_CACHE[key]
 
 
-def _context_for(scale: float, characterize_patterns: int, kernel: str):
+def _context_for(scale: float, characterize_patterns: int):
     from ..experiments.context import ExperimentContext
 
     spec = {
         "scale": float(scale),
         "characterize_patterns": int(characterize_patterns),
-        "kernel": kernel,
     }
     key = _cache_key("context", spec)
     if key not in _STATE_CACHE:
         _STATE_CACHE[key] = ExperimentContext(
             scale=float(scale),
             characterize_patterns=int(characterize_patterns),
-            kernel=kernel,
         )
     return _STATE_CACHE[key]
 
@@ -188,7 +189,6 @@ def _run_experiment(request: Dict) -> Dict:
     context = _context_for(
         request.get("scale", 1.0),
         request.get("characterize_patterns", 2000),
-        request.get("kernel", "soa"),
     )
     start = time.perf_counter()
     result = spec.run(context)
@@ -207,6 +207,7 @@ def run_job(request: Dict) -> Dict:
     """
     if not isinstance(request, dict):
         raise ConfigError("job request must be a dict, got %r" % (request,))
+    check_legacy_kernel(request)
     kind = request.get("job")
     if kind == "ping":
         return {"pong": True}

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 import socket
-import tempfile
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import as_completed
 from typing import Callable, Dict, Iterator, List, Optional
@@ -33,6 +32,7 @@ from typing import Sequence, Tuple
 
 from ..errors import ConfigError, DistribError, ManifestPending
 from ..service.protocol import decode, encode
+from ..util.atomic import atomic_write
 from .jobs import run_job
 
 #: Pool schemes :func:`parse_pool_spec` understands.
@@ -260,7 +260,8 @@ class ManifestPool(WorkerPool):
         results_dir = self._subdir("results")
         for i, request in enumerate(requests):
             path = os.path.join(requests_dir, self._job_name(i))
-            _write_json_atomic(path, request)
+            with atomic_write(path) as stream:
+                stream.write(encode(request))
         responses: List[Dict] = []
         missing: List[str] = []
         for i in range(len(requests)):
@@ -285,21 +286,6 @@ class ManifestPool(WorkerPool):
                 missing=len(missing),
             )
         return responses
-
-
-def _write_json_atomic(path: str, payload: Dict) -> None:
-    """Canonical-JSON write via temp file + rename (NFS-safe enough:
-    readers never observe a partial file)."""
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as stream:
-            stream.write(encode(payload))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def execute_manifest(
@@ -340,7 +326,8 @@ def execute_manifest(
         if progress is not None:
             progress(name)
         envelope = local_worker(request)
-        _write_json_atomic(os.path.join(results_dir, name), envelope)
+        with atomic_write(os.path.join(results_dir, name)) as stream:
+            stream.write(encode(envelope))
         executed += 1
     return executed
 

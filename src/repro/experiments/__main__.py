@@ -34,15 +34,6 @@ from .registry import get_experiment, list_experiments
 from .store import ArtifactStore
 
 
-def _kernel_arg(text: str) -> str:
-    from ..timing.engine import normalize_kernel
-
-    try:
-        return normalize_kernel(text)
-    except ReproError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -93,13 +84,6 @@ def main(argv=None) -> int:
         metavar="PATH",
         help="write a JSON map of experiment id -> rendered output"
         " (the byte-identity surface for serial-vs-parallel checks)",
-    )
-    parser.add_argument(
-        "--kernel",
-        type=_kernel_arg,
-        default="soa",
-        help="gate-kernel backend: soa, percell or numba (all"
-        " bit-identical; numba falls back to soa when unavailable)",
     )
     parser.add_argument(
         "--pool",
@@ -161,7 +145,6 @@ def _run(args) -> int:
             jobs=args.jobs,
             store=store,
             on_result=emit,
-            kernel=args.kernel,
             pool=pool,
         )
     finally:

@@ -19,7 +19,8 @@ and across invocations:
   keyed by netlist hash x technology x characterization x aging point x
   stimulus.
 
-Every entry is a single file written atomically (tmp + ``os.replace``)
+Every entry is a single file written atomically (a unique staging file
++ ``os.replace``, see :func:`repro.util.atomic.atomic_write`)
 with its full key embedded; on read the embedded key must match the
 requested key exactly, so a stale, corrupt or truncated file is ignored
 and rebuilt, never trusted -- the fingerprint-guard idiom proven in
@@ -58,6 +59,7 @@ from ..config import SimulationConfig, Technology
 from ..errors import ConfigError
 from ..nets.netlist import Netlist
 from ..timing.engine import StreamResult
+from ..util.atomic import atomic_write
 from ..util.locking import FileLock
 from ..util.retry import Backoff, retry_call
 
@@ -135,8 +137,7 @@ def config_fingerprint(config: SimulationConfig) -> str:
 
 
 def _save_pickle(path: str, key: Dict, payload) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fp:
+    with atomic_write(path) as fp:
         pickle.dump(
             {
                 "format": FORMAT,
@@ -147,7 +148,6 @@ def _save_pickle(path: str, key: Dict, payload) -> None:
             fp,
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-    os.replace(tmp, path)
 
 
 def _load_pickle(path: str, key: Dict):
@@ -174,10 +174,8 @@ def _save_npz(path: str, key: Dict, arrays: Dict, meta: Dict) -> None:
         ).copy()
     }
     payload.update(arrays)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fp:
+    with atomic_write(path) as fp:
         np.savez(fp, **payload)
-    os.replace(tmp, path)
 
 
 def _load_npz(path: str, key: Dict):
@@ -519,12 +517,11 @@ class ArtifactStore:
         """Atomically replace one shard's contents (caller holds the
         shard lock)."""
         self._ensure_dir()
-        path = self._shard_path(shard)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fp:
+        with atomic_write(
+            self._shard_path(shard), "w", encoding="utf-8"
+        ) as fp:
             for record in records:
                 fp.write(_canonical(record) + "\n")
-        os.replace(tmp, path)
 
     def _fold_legacy_manifest(self) -> None:
         """Distribute a pre-sharding ``manifest.jsonl`` into the shards

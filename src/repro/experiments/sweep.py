@@ -42,7 +42,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import DEFAULT_TECHNOLOGY, Technology
+from ..config import (
+    DEFAULT_TECHNOLOGY,
+    LEGACY_KERNEL,
+    Technology,
+    check_legacy_kernel,
+)
 from ..errors import ConfigError
 from ..faults.injector import fault_delay_scales
 from ..faults.models import DelayFault
@@ -90,7 +95,6 @@ class SweepSpec:
     num_patterns: int = 2000
     seed: int = 1
     characterize_patterns: int = 2000
-    kernel: str = "soa"
     num_variants: int = 100
     variant_seed: int = 0
     #: Additive delay (ns) of the per-cell nudge family.
@@ -102,17 +106,23 @@ class SweepSpec:
     def to_dict(self) -> Dict:
         data = dataclasses.asdict(self)
         data["years"] = [float(year) for year in self.years]
+        # A format constant: payloads written while kernels were
+        # selectable carry this key, and the canonical payload bytes
+        # (and their recorded digests) must not change.
+        data["kernel"] = LEGACY_KERNEL
         return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SweepSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = {f.name for f in dataclasses.fields(cls)} | {"kernel"}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(
                 "unknown sweep spec fields: %s" % sorted(unknown)
             )
         data = dict(data)
+        check_legacy_kernel(data)
+        data.pop("kernel", None)
         if "years" in data:
             data["years"] = tuple(float(y) for y in data["years"])
         return cls(**data)
@@ -255,7 +265,6 @@ class VariantSweep:
                 technology=technology,
                 characterize_patterns=spec.characterize_patterns,
                 store=store,
-                kernel=spec.kernel,
             )
         self.context = context
         self.store = context.store
@@ -350,13 +359,12 @@ class VariantSweep:
                 self.stimulus,
                 scales,
                 technology=self.context.technology,
-                kernel=self.spec.kernel,
             )
         return _result_record(variant.site, result), result.method
 
     def _record_key(self, variant: Variant) -> Dict:
         """Store key of one variant record -- parent lineage x stimulus
-        x corners x site.  Engine and kernel are deliberately absent:
+        x corners x site.  The engine is deliberately absent:
         the record is part of the byte-identity surface."""
         return {
             "parent": netlist_fingerprint(self.netlist),

@@ -25,15 +25,6 @@ from .store import ArtifactStore
 from .sweep import ENGINES, SweepSpec, VariantSweep, render_payload
 
 
-def _kernel_arg(text: str) -> str:
-    from ..timing.engine import normalize_kernel
-
-    try:
-        return normalize_kernel(text)
-    except ReproError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _years_arg(text: str):
     try:
         return tuple(float(part) for part in text.split(",") if part)
@@ -76,12 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--variant-seed", type=int, default=0)
     parser.add_argument("--characterize-patterns", type=int, default=2000)
     parser.add_argument(
-        "--kernel",
-        type=_kernel_arg,
-        default="soa",
-        help="execution kernel for full/base runs (soa, percell, numba)",
-    )
-    parser.add_argument(
         "--delay-extra-ns", type=float, default=0.4,
         help="additive delay of the nudge family (default 0.4)",
     )
@@ -119,7 +104,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         num_patterns=args.patterns,
         seed=args.seed,
         characterize_patterns=args.characterize_patterns,
-        kernel=args.kernel,
         num_variants=args.variants,
         variant_seed=args.variant_seed,
         delay_extra_ns=args.delay_extra_ns,

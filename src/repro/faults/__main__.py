@@ -40,15 +40,6 @@ from .campaign import (
 )
 
 
-def _kernel_arg(text: str) -> str:
-    from ..timing.engine import normalize_kernel
-
-    try:
-        return normalize_kernel(text)
-    except ReproError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _shard_arg(text: str) -> Tuple[int, int]:
     index, sep, count = text.partition("/")
     try:
@@ -75,7 +66,6 @@ def spec_from_args(args) -> Dict:
         "seed": args.seed,
         "years": args.years,
         "characterize_patterns": args.characterize_patterns,
-        "kernel": args.kernel,
     }
 
 
@@ -255,11 +245,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="BTI characterization workload length",
     )
     common.add_argument("--workers", type=int, default=1)
-    common.add_argument(
-        "--kernel", type=_kernel_arg, default="soa",
-        help="gate-kernel backend: soa, percell or numba (all"
-        " bit-identical; numba falls back to soa when unavailable)",
-    )
     common.add_argument(
         "--no-prune", action="store_true",
         help="disable logic-cone pruning",

@@ -52,6 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..aging.electromigration import cell_toggle_rates
+from ..config import check_legacy_kernel
 from ..arith.reference import golden_products
 from ..core.architecture import AgingAwareMultiplier
 from ..core.stats import ArchitectureRunResult
@@ -293,6 +294,7 @@ def campaign_from_spec(spec: Dict) -> "InjectionCampaign":
     state, relying on the campaign's determinism contract (operand
     streams and site enumeration are pure functions of the spec).
     """
+    check_legacy_kernel(spec)
     mult = AgingAwareMultiplier.build(
         int(spec.get("width", 8)),
         spec.get("kind", "column"),
@@ -309,7 +311,6 @@ def campaign_from_spec(spec: Dict) -> "InjectionCampaign":
         num_patterns=int(spec.get("patterns", 2000)),
         seed=int(spec.get("seed", 7)),
         years=float(spec.get("years", 0.0)),
-        kernel=spec.get("kernel", "soa"),
     )
 
 
@@ -401,16 +402,9 @@ class InjectionCampaign:
         num_patterns: int = 2000,
         seed: int = 1,
         years: float = 0.0,
-        kernel: str = "soa",
     ):
-        from ..timing.engine import normalize_kernel
-
         if num_patterns < 1:
             raise FaultError("num_patterns must be >= 1")
-        # The kernel is pure execution strategy (all backends are
-        # bit-identical), so it deliberately stays out of
-        # :meth:`fingerprint` -- checkpoints interoperate across it.
-        self.kernel = normalize_kernel(kernel)
         for fault in faults:
             if not isinstance(fault, FaultModel):
                 raise FaultError("not a fault model: %r" % (fault,))
@@ -447,7 +441,6 @@ class InjectionCampaign:
         sites: str = "uniform",
         em_model=None,
         em_years: float = 10.0,
-        kernel: str = "soa",
     ) -> "InjectionCampaign":
         """Campaign over an automatically enumerated site sweep.
 
@@ -498,7 +491,7 @@ class InjectionCampaign:
             )
         return cls(
             architecture, site_list, num_patterns, seed=seed,
-            years=years, kernel=kernel,
+            years=years,
         )
 
     # ------------------------------------------------------------------
@@ -535,7 +528,6 @@ class InjectionCampaign:
                 [],
                 self.architecture.technology,
                 delay_scale=self._base_scale,
-                kernel=self.kernel,
             )
         return self._pristine
 
@@ -559,7 +551,6 @@ class InjectionCampaign:
             [fault],
             arch.technology,
             delay_scale=self._base_scale,
-            kernel=self.kernel,
         )
         # ``fold=True`` only folds hook-free circuits (pure delay
         # faults); value-corrupting hooks make the engine bypass it, so

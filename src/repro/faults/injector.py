@@ -152,23 +152,18 @@ def compile_with_faults(
     technology: Technology = DEFAULT_TECHNOLOGY,
     delay_scale: Optional[np.ndarray] = None,
     mode: str = "inertial",
-    kernel: str = "soa",
 ) -> CompiledCircuit:
     """Compile ``netlist`` with ``faults`` injected.
 
     With an empty fault list this is exactly ``CompiledCircuit(netlist,
     technology, delay_scale, mode)`` -- the zero-fault campaign is
     bit-identical to the pristine simulation (property-tested).
-    ``kernel`` selects the chunk runner (see
-    :data:`repro.timing.engine.KERNELS`); hooked cells always evaluate
-    on the scalar path regardless, so faults behave identically under
-    either kernel.
+    Hooked cells evaluate on the bucket plan's scalar fallback.
     """
     hooks = build_fault_hooks(netlist, faults)
     scale = fault_delay_scale(netlist, faults, technology, delay_scale)
     return CompiledCircuit(
         netlist, technology, scale, mode, fault_hooks=hooks or None,
-        kernel=kernel,
     )
 
 

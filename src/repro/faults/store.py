@@ -35,6 +35,7 @@ from typing import Dict, Optional
 
 from ..analysis.serialize import to_json
 from ..errors import CheckpointError
+from ..util.atomic import atomic_write
 from ..util.locking import FileLock
 from .campaign import SiteReport
 
@@ -158,12 +159,10 @@ class CheckpointStore:
         os.makedirs(directory, exist_ok=True)
         with FileLock(self.path + ".lock"):
             reports = self.load(fingerprint) if resume else {}
-            tmp = self.path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fp:
+            with atomic_write(self.path, "w", encoding="utf-8") as fp:
                 fp.write(self._header_line(fingerprint))
                 for site_id, report in reports.items():
                     fp.write(self._report_line(site_id, report))
-            os.replace(tmp, self.path)
             self._fp = open(self.path, "a", encoding="utf-8")
         return reports
 

@@ -32,6 +32,7 @@ from ..config import (
     DEFAULT_TECHNOLOGY,
     SimulationConfig,
     Technology,
+    check_legacy_kernel,
 )
 from ..errors import ConfigError
 from ..timing.replay import ArrivalReplay
@@ -70,12 +71,12 @@ _MC_WORKER: Optional[Dict] = None
 
 def _init_mc_worker(
     netlist, stress, technology, spec, stimulus, zeros, width, skip,
-    clock_ns, config, kernel="soa",
+    clock_ns, config,
 ) -> None:
     from ..aging.degradation import AgedCircuitFactory
 
     global _MC_WORKER
-    factory = AgedCircuitFactory(netlist, stress, technology, kernel)
+    factory = AgedCircuitFactory(netlist, stress, technology)
     _MC_WORKER = {
         "factory": factory,
         "sampler": CorrelatedVthSampler(len(netlist.cells), spec),
@@ -159,7 +160,6 @@ def mc_job_spec(
     kind: str,
     skip: Optional[int],
     characterize_patterns: int = 2000,
-    kernel: str = "soa",
 ) -> Dict:
     """The JSON-able job dict remote shard workers (and ``mc merge``)
     rebuild the pricing problem from -- default technology/config only,
@@ -170,14 +170,12 @@ def mc_job_spec(
         "kind": kind,
         "skip": _resolve_skip(width, skip),
         "characterize_patterns": int(characterize_patterns),
-        "kernel": kernel,
     }
 
 
 def _shard_fingerprint(job: Dict) -> Dict:
     """Shard-compatibility identity: everything that shapes the priced
-    numbers.  The kernel is excluded (backends are bit-identical), so
-    shards priced on different backends merge freely."""
+    numbers."""
     return {
         "spec": dict(job["spec"]),
         "width": int(job["width"]),
@@ -197,13 +195,13 @@ def run_mc_shard(job: Dict, die_range) -> Dict:
     """
     from ..experiments.context import ExperimentContext
 
+    check_legacy_kernel(job)
     spec = MonteCarloSpec.from_overrides(**dict(job.get("spec") or {}))
     width = int(job.get("width", 8))
     kind = job.get("kind", "column")
     skip = _resolve_skip(width, job.get("skip"))
     context = ExperimentContext(
         characterize_patterns=int(job.get("characterize_patterns", 2000)),
-        kernel=job.get("kernel", "soa"),
     )
     factory, netlist, stimulus, zeros, clock_ns, _ = _pricing_inputs(
         spec, width, kind, context
@@ -244,6 +242,7 @@ def merge_mc_shards(
     """
     from ..experiments.context import ExperimentContext
 
+    check_legacy_kernel(job)
     spec = MonteCarloSpec.from_overrides(**dict(job.get("spec") or {}))
     width = int(job.get("width", 8))
     kind = job.get("kind", "column")
@@ -284,7 +283,6 @@ def merge_mc_shards(
     reductions = PopulationReductions.concat(parts)
     context = ExperimentContext(
         characterize_patterns=int(job.get("characterize_patterns", 2000)),
-        kernel=job.get("kernel", "soa"),
     )
     _, netlist, _, _, _, base_period_ns = _pricing_inputs(
         spec, width, kind, context
@@ -319,7 +317,6 @@ def run_montecarlo(
     config: SimulationConfig = DEFAULT_SIM_CONFIG,
     characterize_patterns: int = 2000,
     num_bins: int = 32,
-    kernel: str = "soa",
     pool=None,
 ) -> MonteCarloResult:
     """Sample, price and analyze one die population.
@@ -365,14 +362,12 @@ def run_montecarlo(
             config=config,
             characterize_patterns=characterize_patterns,
             store=store,
-            kernel=kernel,
         )
     else:
         technology = context.technology
         config = context.config
         characterize_patterns = context.characterize_patterns
         store = context.store
-        kernel = context.kernel
     if pool is not None and (
         technology is not DEFAULT_TECHNOLOGY
         or config is not DEFAULT_SIM_CONFIG
@@ -411,7 +406,7 @@ def run_montecarlo(
             from ..distrib.pool import run_mc_pooled
 
             job = mc_job_spec(
-                spec, width, kind, skip, characterize_patterns, kernel
+                spec, width, kind, skip, characterize_patterns
             )
             payloads = run_mc_pooled(
                 pool, job, shard_ranges(spec.num_dies, pool.size)
@@ -441,7 +436,7 @@ def run_montecarlo(
                 initializer=_init_mc_worker,
                 initargs=(
                     netlist, factory.stress, technology, spec, stimulus,
-                    zeros, width, skip, clock_ns, config, kernel,
+                    zeros, width, skip, clock_ns, config,
                 ),
             ) as executor:
                 shards = list(executor.map(_price_shard, ranges))

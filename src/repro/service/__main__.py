@@ -37,15 +37,6 @@ def _canonical(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _kernel_arg(text: str) -> str:
-    from ..timing.engine import normalize_kernel
-
-    try:
-        return normalize_kernel(text)
-    except ReproError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _years(text: str):
     return [float(part) for part in text.split(",") if part]
 
@@ -66,11 +57,6 @@ def _add_query_args(parser, with_store: bool) -> None:
         parser.add_argument("--store", metavar="DIR", default=None)
         parser.add_argument(
             "--characterize-patterns", type=int, default=2000
-        )
-        parser.add_argument(
-            "--kernel", type=_kernel_arg, default="soa",
-            help="execution kernel (soa, percell, numba); records agree"
-            " across kernels except switched-cap float association",
         )
 
 
@@ -99,12 +85,6 @@ def main(argv=None) -> int:
     serve.add_argument("--workers", type=int, default=1)
     serve.add_argument("--lru-size", type=int, default=1024)
     serve.add_argument("--characterize-patterns", type=int, default=2000)
-    serve.add_argument(
-        "--kernel", type=_kernel_arg, default="soa",
-        help="execution kernel of the backend workers (soa, percell,"
-        " numba); records agree across kernels except switched-cap"
-        " float association",
-    )
     serve.add_argument(
         "--testing-hooks", action="store_true",
         help="honor the 'inject' request field (CI degraded-path checks)",
@@ -160,7 +140,6 @@ def _cmd_serve(args) -> int:
             lru_size=args.lru_size,
             characterize_patterns=args.characterize_patterns,
             testing_hooks=args.testing_hooks,
-            kernel=args.kernel,
         )
     )
     print(
@@ -216,7 +195,6 @@ def _cmd_direct(args) -> int:
         _spec_from_args(args),
         store_dir=args.store,
         characterize_patterns=args.characterize_patterns,
-        kernel=args.kernel,
     )
     print(json.dumps(records, sort_keys=True, indent=2))
     if args.json:

@@ -82,19 +82,14 @@ def build_context(
     characterize_patterns: int = 2000,
     technology=DEFAULT_TECHNOLOGY,
     config=DEFAULT_SIM_CONFIG,
-    kernel: str = "soa",
 ) -> ExperimentContext:
     """A service-flavored experiment context (store-backed when a
-    store directory is configured).  ``kernel`` selects the execution
-    backend for every circuit the context compiles; kernels agree on
-    every record field except the float-association noise in
-    ``mean_switched_cap`` (the documented summation-order exception)."""
+    store directory is configured)."""
     return ExperimentContext(
         technology=technology,
         config=config,
         characterize_patterns=characterize_patterns,
         store=None if store_dir is None else ArtifactStore(store_dir),
-        kernel=kernel,
     )
 
 
@@ -103,16 +98,13 @@ def compute_direct(
     store_dir: Optional[str] = None,
     characterize_patterns: int = 2000,
     context: Optional[ExperimentContext] = None,
-    kernel: str = "soa",
 ) -> List[Dict]:
     """The exact records the service would serve, computed in-process.
 
     This is the identity oracle: CI compares served responses byte-wise
     against this function's output (``python -m repro.service direct``).
     """
-    ctx = context or build_context(
-        store_dir, characterize_patterns, kernel=kernel
-    )
+    ctx = context or build_context(store_dir, characterize_patterns)
     return compute_batch(ctx, spec)
 
 
@@ -126,7 +118,6 @@ _WORKER_TESTING = False
 
 def _init_backend_worker(
     technology, config, characterize_patterns, store_dir, testing_hooks,
-    kernel="soa",
 ) -> None:
     global _WORKER_CONTEXT, _WORKER_TESTING
     _WORKER_CONTEXT = build_context(
@@ -134,7 +125,6 @@ def _init_backend_worker(
         characterize_patterns,
         technology=technology,
         config=config,
-        kernel=kernel,
     )
     _WORKER_TESTING = bool(testing_hooks)
 
@@ -179,7 +169,6 @@ class Backend:
         technology=DEFAULT_TECHNOLOGY,
         config=DEFAULT_SIM_CONFIG,
         testing_hooks: bool = False,
-        kernel: str = "soa",
     ):
         self.store_dir = store_dir
         self.workers = max(1, int(workers))
@@ -187,9 +176,6 @@ class Backend:
         self.technology = technology
         self.config = config
         self.testing_hooks = testing_hooks
-        from ..timing.engine import normalize_kernel
-
-        self.kernel = normalize_kernel(kernel)
         self.crashes = 0
         self._pool: Optional[ProcessPoolExecutor] = None
 
@@ -204,7 +190,6 @@ class Backend:
                     self.characterize_patterns,
                     self.store_dir,
                     self.testing_hooks,
-                    self.kernel,
                 ),
             )
         return self._pool

@@ -76,10 +76,6 @@ class ServiceConfig:
     #: Enables the ``inject`` request field (deterministic crash/sleep
     #: used by tests and the CI degraded-path checks).
     testing_hooks: bool = False
-    #: Execution kernel of every backend worker (``soa`` / ``percell``
-    #: / ``numba``); kernels agree on every served field except the
-    #: float-association noise in ``mean_switched_cap``.
-    kernel: str = "soa"
 
 
 class ReliabilityService:
@@ -92,7 +88,6 @@ class ReliabilityService:
             workers=config.workers,
             characterize_patterns=config.characterize_patterns,
             testing_hooks=config.testing_hooks,
-            kernel=config.kernel,
         )
         self.counters: Dict[str, int] = {name: 0 for name in COUNTERS}
         self._lru: "OrderedDict[Tuple, Dict]" = OrderedDict()

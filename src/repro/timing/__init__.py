@@ -35,13 +35,7 @@ from .delta import (
     patch_compiled,
     replay_delta,
 )
-from .engine import (
-    KERNELS,
-    CompiledCircuit,
-    StreamResult,
-    auto_chunk_size,
-    normalize_kernel,
-)
+from .engine import CompiledCircuit, StreamResult, auto_chunk_size
 from .event import EventSimulator, EventResult
 from .fold import FoldPlan, fold_stimulus, unfold_stream
 from .replay import (
@@ -63,9 +57,7 @@ __all__ = [
     "DeltaBase",
     "DeltaPlane",
     "DeltaResult",
-    "KERNELS",
     "NetlistDelta",
-    "normalize_kernel",
     "FoldPlan",
     "StreamResult",
     "EventSimulator",

@@ -32,7 +32,8 @@ Byte-identity contract (asserted by ``tests/test_delta.py`` and the CI
 any positive ``(k, num_cells)`` scale matrix.  ``switched_caps`` is
 *excluded* from the delta surface: transition densities propagate
 globally and are already the documented float-association exception
-between kernels (see DESIGN.md section 16).
+between the bucketed engine and the per-cell reference (see DESIGN.md
+section 16).
 
 Base planes must be built with ``initial=None`` (settling pattern ==
 pattern 0), which makes every recorded may-mask equal to
@@ -53,7 +54,7 @@ from ..nets.netlist import CONST0, CONST1, Netlist
 from . import logic
 from .engine import CompiledCircuit, _CompiledCell
 from .replay import ArrivalReplay, ValuePlane, _PlaneRecorder
-from .replay import _active_arrival, _aux_count, build_value_plane
+from .replay import build_value_plane, replay_buckets
 from .soa import LevelBucket, SoAPlan
 from .value_cache import netlist_fingerprint
 
@@ -361,23 +362,12 @@ def patch_compiled(
         )
 
     patched = CompiledCircuit.__new__(CompiledCircuit)
-    # The JIT backend compiles its own plan caches; a patched circuit
-    # runs on the (bit-identical) SoA kernel instead.
-    patched.kernel = (
-        "soa" if parent_circuit.kernel == "numba"
-        else parent_circuit.kernel
-    )
     patched.netlist = child
     patched.technology = parent_circuit.technology
     patched.mode = parent_circuit.mode
     patched.fault_hooks = {}
     patched.delay_scale = scale
     patched._cells = cells
-    patched._protected = set(parent_circuit._protected)
-    patched._last_use = {}
-    for compiled in cells:
-        for net in compiled.inputs:
-            patched._last_use[net] = compiled.position
     patched.num_nets = child.num_nets
     patched._reach_masks = None
     patched._cell_delays = None
@@ -391,7 +381,6 @@ def patch_compiled(
     )
     patched._soa_value_plan = plan
     patched._soa_replay_plan = plan
-    patched._jit_plan = None
     patched.delta_lineage = getattr(
         parent_circuit, "delta_lineage", ()
     ) + (delta.fingerprint(),)
@@ -467,22 +456,12 @@ def build_delta_plane(
 
     Raises:
         DeltaError: The circuit carries fault hooks (faulted planes are
-            hook-specific; delta bases must be pristine) or runs on an
-            active numba JIT kernel (the fused kernels do not capture
-            values -- use ``kernel="soa"`` or ``"percell"``).
+            hook-specific; delta bases must be pristine).
     """
     if circuit.fault_hooks:
         raise DeltaError(
             "delta base planes require a hook-free circuit"
         )
-    if circuit.kernel == "numba":
-        from . import jit
-
-        if jit.jit_enabled():
-            raise DeltaError(
-                "delta base planes cannot be captured by the numba JIT"
-                " kernel; build the base with kernel='soa' or 'percell'"
-            )
     lengths = {np.asarray(v).shape[0] for v in stimulus.values()}
     if len(lengths) != 1:
         raise DeltaError("stimulus arrays must be equally long")
@@ -512,65 +491,6 @@ def build_delta_plane(
         key=key,
         val_packed=recorder.values,
     )
-
-
-# ----------------------------------------------------------------------
-# Full-arrival tensor (the reusable base)
-# ----------------------------------------------------------------------
-
-
-def _replay_all_arrivals(
-    circuit: CompiledCircuit, plane: ValuePlane, scales: np.ndarray
-) -> np.ndarray:
-    """Dense ``(num_nets, n, k)`` arrival tensor for every net.
-
-    The same bucketed sparse pass as
-    :meth:`~repro.timing.replay.ArrivalReplay._replay_soa`, but keeping
-    *all* per-net rows instead of harvesting only output ports: rows of
-    quiet entries, primary inputs and constant rails stay exactly 0.0
-    (the quiet-zero invariant), so a cone replay can gather any
-    boundary net's arrivals with no special-casing.  All arithmetic is
-    elementwise per (cell, pattern, corner) entry, so the tensor is
-    bit-identical to the chunked port replay.  Callers size ``n * k``
-    (the tensor is the product, ~``num_nets * n * k * 8`` bytes).
-    """
-    plan = circuit.soa_replay_plan()
-    n = plane.num_patterns
-    k = scales.shape[0]
-    full = np.zeros((circuit.num_nets, n, k))
-    for bucket_list in plan.levels:
-        for bucket in bucket_list:
-            outs = bucket.outputs
-            pins = bucket.pins
-            may = np.unpackbits(
-                plane.may_packed[outs], axis=1, count=n
-            ).view(bool)
-            rows, cols = np.nonzero(may)
-            if not rows.size:
-                continue
-            count = _aux_count(bucket.opcode, pins.shape[0])
-            if count:
-                aux_rows = plane.aux_offsets[bucket.positions]
-                aux = tuple(
-                    np.unpackbits(
-                        plane.aux_packed[aux_rows + lane],
-                        axis=1,
-                        count=n,
-                    ).view(bool)[rows, cols]
-                    for lane in range(count)
-                )
-            else:
-                aux = ()
-            arrs = [
-                full[pins[j][rows], cols] for j in range(pins.shape[0])
-            ]
-            delay = (
-                bucket.fresh_delays[:, None]
-                * scales[:, bucket.cell_indices].T
-            )
-            out = _active_arrival(bucket.opcode, aux, arrs, delay[rows])
-            full[outs[rows], cols] = out
-    return full
 
 
 # ----------------------------------------------------------------------
@@ -631,7 +551,6 @@ def evaluate_full(
     delay_scales: np.ndarray,
     technology=None,
     mode: str = "inertial",
-    kernel: str = "soa",
     collect_bit_arrivals: bool = False,
     chunk_size: "Optional[int | str]" = "auto",
 ) -> DeltaResult:
@@ -647,7 +566,6 @@ def evaluate_full(
         child,
         technology if technology is not None else DEFAULT_TECHNOLOGY,
         mode=mode,
-        kernel=kernel,
     )
     plane = build_value_plane(
         circuit, stimulus, initial=None, chunk_size=chunk_size
@@ -707,10 +625,17 @@ class DeltaBase:
         self.plane = build_delta_plane(
             circuit, self.stimulus, chunk_size=chunk_size
         )
-        self.arrivals = _replay_all_arrivals(
-            circuit, self.plane, scales
-        )
         self.num_patterns = self.plane.num_patterns
+        # Dense (num_nets, n, k) arrivals of *every* net, one window
+        # [0, n): quiet entries, PIs and rails stay 0.0, so a cone
+        # replay gathers any boundary net with no special-casing.
+        self.arrivals = np.zeros(
+            (circuit.num_nets, self.num_patterns, scales.shape[0])
+        )
+        replay_buckets(
+            circuit.soa_replay_plan(), self.plane, scales,
+            self.arrivals, 0, self.num_patterns,
+        )
         self.num_cells = num_cells
         self.num_nets = circuit.num_nets
         self.delays = np.zeros((scales.shape[0], self.num_patterns))
@@ -826,7 +751,6 @@ def replay_delta(
             technology=parent_circuit.technology,
             mode=parent_circuit.mode,
             collect_bit_arrivals=collect_bit_arrivals,
-            kernel=patched.kernel,
         )
         return dataclasses.replace(result, delta=delta)
 

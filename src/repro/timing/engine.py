@@ -23,11 +23,13 @@ Two delay semantics are available (see :func:`repro.timing.logic
 * ``mode="floating"``: hazard-pessimistic; arrivals provably upper-bound
   the event-driven transport-delay settle time (cross-checked in tests).
 
-All per-pattern quantities are vectorized across the pattern axis; the
-Python-level loop runs once per cell, not once per pattern.  Memory stays
-bounded because each net's arrays are freed as soon as its last consumer
-has been evaluated; exactness across chunk boundaries is preserved by
-carrying each net's final value and each bypass group's held value.
+All per-pattern quantities are vectorized across the pattern axis, and
+cells are evaluated a whole (level, opcode) bucket at a time (see
+:mod:`repro.timing.soa`); the per-cell interpreter survives only as the
+test oracle in :mod:`repro.timing.reference`.  Memory stays bounded by
+chunking the pattern axis; exactness across chunk boundaries is
+preserved by carrying each net's final value and each bypass group's
+held value.
 """
 
 from __future__ import annotations
@@ -53,78 +55,24 @@ FaultHook = Callable[[np.ndarray, int], np.ndarray]
 #: Delay-semantics modes accepted by :class:`CompiledCircuit`.
 MODES = ("inertial", "floating")
 
-#: Evaluation kernels accepted by :class:`CompiledCircuit`.  ``"soa"``
-#: (the default) evaluates whole (level, opcode) buckets with batched
-#: gather/scatter over ``(num_nets, n)`` matrices; ``"percell"`` is the
-#: original per-cell interpreter, kept as the benchmark baseline and
-#: equivalence reference; ``"numba"`` runs the fused JIT kernels of
-#: :mod:`repro.timing.jit` when numba is importable and silently falls
-#: back to ``"soa"`` otherwise (the dependency is optional).  All
-#: produce bit-identical per-net and per-pattern results (values,
-#: delays, arrivals, toggles); only the cross-cell
-#: switched-capacitance *sum* may differ by float association.
-KERNELS = ("soa", "percell", "numba")
-
-
-def normalize_kernel(name: str) -> str:
-    """Validate a user-supplied kernel name (CLI surface).
-
-    Returns the name unchanged when it is a member of :data:`KERNELS`;
-    otherwise raises :class:`~repro.errors.ConfigError` with a
-    did-you-mean hint, so every ``--kernel`` flag fails the same way.
-    """
-    if name in KERNELS:
-        return name
-    import difflib
-
-    from ..errors import ConfigError
-
-    close = difflib.get_close_matches(str(name), KERNELS, n=1)
-    hint = " (did you mean %r?)" % close[0] if close else ""
-    raise ConfigError(
-        "unknown kernel %r (known: %s)%s"
-        % (name, ", ".join(KERNELS), hint)
-    )
-
-#: Peak-memory target for ``chunk_size="auto"``: the streaming loop keeps
-#: on the order of ``num_nets`` live per-pattern arrays (uint8 value,
-#: bool may, float64 arrival, float64 transition density -- less after
-#: dead-net freeing), so patterns-per-chunk is bounded by this budget
-#: divided by ``num_nets * _AUTO_BYTES_PER_NET``.
+#: Peak-memory target for ``chunk_size="auto"``: a chunk holds dense
+#: ``(num_nets, n)`` matrices (uint8 value, bool may, float64 arrival,
+#: float64 transition density) plus per-bucket temporaries, so
+#: patterns-per-chunk is bounded by this budget divided by
+#: ``num_nets * _AUTO_BYTES_PER_NET``.
 AUTO_CHUNK_TARGET_BYTES = 256 * 1024 * 1024
 _AUTO_BYTES_PER_NET = 32
 
 
-#: JIT chunks are this many times larger: the fused kernels touch each
-#: matrix once per pass (no per-bucket numpy temporaries), so the same
-#: memory budget admits more patterns, and larger chunks amortize the
-#: per-call dispatch and thread fork/join overhead better.
-_JIT_CHUNK_FACTOR = 4
-
-
-def auto_chunk_size(
-    num_nets: int, num_patterns: int, kernel: str = "soa"
-) -> int:
+def auto_chunk_size(num_nets: int, num_patterns: int) -> int:
     """Patterns per chunk so a run stays near ``AUTO_CHUNK_TARGET_BYTES``.
 
     Returns a multiple of 8 (so value-plane bit-packing stays
     byte-aligned at chunk boundaries), at least 64, and possibly larger
     than ``num_patterns`` -- in which case the run is unchunked.
-
-    ``kernel`` adapts the target to the active backend: when the JIT
-    backend is both selected *and* runnable the budget grows by
-    ``_JIT_CHUNK_FACTOR`` (chunking is exact, so results are unchanged
-    either way); with numba absent the ``"numba"`` kernel executes on
-    the SoA path and keeps the SoA chunk size.
     """
-    target = AUTO_CHUNK_TARGET_BYTES
-    if kernel == "numba":
-        from . import jit
-
-        if jit.jit_enabled():
-            target *= _JIT_CHUNK_FACTOR
     per_pattern = max(1, num_nets) * _AUTO_BYTES_PER_NET
-    chunk = target // per_pattern
+    chunk = AUTO_CHUNK_TARGET_BYTES // per_pattern
     chunk = max(64, chunk - chunk % 8)
     return chunk
 
@@ -201,11 +149,8 @@ class CompiledCircuit:
             logic all see the faulted values (this is how stuck-at and
             transient value faults enter the simulation; delay faults
             enter through ``delay_scale``).  Constant rails cannot be
-            hooked.
-        kernel: Evaluation kernel, one of :data:`KERNELS`.  ``"soa"``
-            runs the levelized bucketed kernel with scalar fallback for
-            hooked cells; ``"percell"`` forces the per-cell reference
-            path everywhere.
+            hooked.  Cells driving a hooked net run through the
+            bucket plan's scalar fallback.
     """
 
     def __init__(
@@ -215,17 +160,11 @@ class CompiledCircuit:
         delay_scale: Optional[np.ndarray] = None,
         mode: str = "inertial",
         fault_hooks: Optional[Dict[int, FaultHook]] = None,
-        kernel: str = "soa",
     ):
         if mode not in MODES:
             raise SimulationError(
                 "mode must be one of %s, got %r" % (MODES, mode)
             )
-        if kernel not in KERNELS:
-            raise SimulationError(
-                "kernel must be one of %s, got %r" % (KERNELS, kernel)
-            )
-        self.kernel = kernel
         netlist.validate()
         self.netlist = netlist
         self.technology = technology
@@ -274,25 +213,11 @@ class CompiledCircuit:
                 )
             )
 
-        # Net protection and lifetime analysis for array freeing.
-        self._protected = {CONST0, CONST1}
-        for port in netlist.input_ports.values():
-            self._protected.update(port.nets)
-        for port in netlist.output_ports.values():
-            self._protected.update(port.nets)
-        self._protected.update(netlist.group_enables.values())
-
-        self._last_use: Dict[int, int] = {}
-        for compiled in self._cells:
-            for net in compiled.inputs:
-                self._last_use[net] = compiled.position
-
         self.num_nets = netlist.num_nets
         self._reach_masks: Optional[List[int]] = None
         self._cell_delays: Optional[np.ndarray] = None
         self._soa_value_plan = None
         self._soa_replay_plan = None
-        self._jit_plan = None
 
     # ------------------------------------------------------------------
     # Logic-cone reachability
@@ -371,7 +296,7 @@ class CompiledCircuit:
         """Recompile with new per-cell delay factors (e.g. another year)."""
         return CompiledCircuit(
             self.netlist, self.technology, delay_scale, self.mode,
-            self.fault_hooks, self.kernel,
+            self.fault_hooks,
         )
 
     def cell_delays_ns(self) -> np.ndarray:
@@ -453,31 +378,8 @@ class CompiledCircuit:
                 needed to replay it) and the returned ``delays`` /
                 ``bit_arrivals`` are not meaningful.
         """
-        ports = self.netlist.input_ports
-        missing = set(ports) - set(stimulus)
-        extra = set(stimulus) - set(ports)
-        if missing or extra:
-            raise SimulationError(
-                "stimulus ports mismatch: missing=%s extra=%s"
-                % (sorted(missing), sorted(extra))
-            )
-        if initial is not None:
-            unknown = set(initial) - set(ports)
-            if unknown:
-                raise SimulationError(
-                    "initial contains unknown input ports: %s (have: %s)"
-                    % (sorted(unknown), sorted(ports))
-                )
-        arrays = {
-            name: np.asarray(values, dtype=np.uint64)
-            for name, values in stimulus.items()
-        }
-        lengths = {arr.shape[0] for arr in arrays.values()}
-        if len(lengths) != 1:
-            raise SimulationError("stimulus arrays must be equally long")
-        (n,) = lengths
-        if n == 0:
-            raise SimulationError("stimulus must contain at least 1 pattern")
+        arrays = self._check_stimulus(stimulus, initial)
+        n = next(iter(arrays.values())).shape[0]
 
         if (
             fold
@@ -502,21 +404,9 @@ class CompiledCircuit:
                     'chunk_size must be an int, None or "auto", got %r'
                     % (chunk_size,)
                 )
-            chunk_size = auto_chunk_size(self.num_nets, n, self.kernel)
+            chunk_size = auto_chunk_size(self.num_nets, n)
 
-        # Prepend the settling pattern: the state the circuit held before
-        # pattern 0.  Index 0 of the simulated stream is dropped from all
-        # per-pattern results, so delays/toggles are exact two-vector
-        # quantities for every reported pattern.
-        prefixed = {}
-        for name, arr in arrays.items():
-            first = (
-                np.uint64(initial[name])
-                if initial is not None and name in initial
-                else arr[0]
-            )
-            prefixed[name] = np.concatenate(([first], arr))
-
+        prefixed = _prefix_settling(arrays, initial)
         if chunk_size is None or chunk_size >= n + 1:
             result, _, _ = self._run_chunk(
                 prefixed,
@@ -562,6 +452,40 @@ class CompiledCircuit:
             first_chunk = False
         return _concatenate_results(pieces, self.num_nets)
 
+    def _check_stimulus(
+        self,
+        stimulus: Dict[str, Sequence[int]],
+        initial: Optional[Dict[str, int]] = None,
+    ) -> Dict[str, np.ndarray]:
+        """Validate a :meth:`run` stimulus against the input ports and
+        return it as equally long, non-empty uint64 arrays."""
+        ports = self.netlist.input_ports
+        missing = set(ports) - set(stimulus)
+        extra = set(stimulus) - set(ports)
+        if missing or extra:
+            raise SimulationError(
+                "stimulus ports mismatch: missing=%s extra=%s"
+                % (sorted(missing), sorted(extra))
+            )
+        if initial is not None:
+            unknown = set(initial) - set(ports)
+            if unknown:
+                raise SimulationError(
+                    "initial contains unknown input ports: %s (have: %s)"
+                    % (sorted(unknown), sorted(ports))
+                )
+        arrays = {
+            name: np.asarray(values, dtype=np.uint64)
+            for name, values in stimulus.items()
+        }
+        lengths = {arr.shape[0] for arr in arrays.values()}
+        if len(lengths) != 1:
+            raise SimulationError("stimulus arrays must be equally long")
+        (n,) = lengths
+        if n == 0:
+            raise SimulationError("stimulus must contain at least 1 pattern")
+        return arrays
+
     def value_plane(
         self,
         stimulus: Dict[str, Sequence[int]],
@@ -594,7 +518,7 @@ class CompiledCircuit:
         start_index: int = -1,
         recorder=None,
     ):
-        """Simulate one chunk through the configured kernel.
+        """Simulate one chunk through the levelized SoA plan.
 
         ``carry_values`` holds every net's settled value at the end of
         the previous chunk (None for the first chunk, which instead
@@ -603,44 +527,6 @@ class CompiledCircuit:
         element (-1 for the settling pattern), forwarded to fault hooks.
         ``recorder``, when set, captures the value plane instead of
         computing arrivals.
-        """
-        if self.kernel == "percell":
-            runner = self._run_chunk_percell
-        elif self.kernel == "numba":
-            from . import jit
-
-            # Graceful fallback: without numba (or forced pure-python
-            # mode) the SoA kernel runs instead, bit-identically.
-            runner = (
-                self._run_chunk_numba
-                if jit.jit_enabled()
-                else self._run_chunk_soa
-            )
-        else:
-            runner = self._run_chunk_soa
-        return runner(
-            arrays,
-            carry_values,
-            carry_held,
-            collect_bit_arrivals,
-            collect_net_stats,
-            drop_first,
-            start_index=start_index,
-            recorder=recorder,
-        )
-
-    def _run_chunk_soa(
-        self,
-        arrays: Dict[str, np.ndarray],
-        carry_values: Optional[np.ndarray],
-        carry_held: Dict[int, int],
-        collect_bit_arrivals: bool,
-        collect_net_stats: bool,
-        drop_first: bool,
-        start_index: int = -1,
-        recorder=None,
-    ):
-        """Levelized SoA chunk runner.
 
         Holds dense ``(num_nets, n)`` value / may / transition (and,
         unless recording, arrival) matrices and evaluates one
@@ -851,213 +737,24 @@ class CompiledCircuit:
         )
         return result, final_values, new_held
 
-    def _run_chunk_numba(
-        self,
-        arrays: Dict[str, np.ndarray],
-        carry_values: Optional[np.ndarray],
-        carry_held: Dict[int, int],
-        collect_bit_arrivals: bool,
-        collect_net_stats: bool,
-        drop_first: bool,
-        start_index: int = -1,
-        recorder=None,
-    ):
-        """Fused JIT chunk runner (see :mod:`repro.timing.jit`)."""
-        from . import jit
 
-        return jit.run_chunk(
-            self,
-            arrays,
-            carry_values,
-            carry_held,
-            collect_bit_arrivals,
-            collect_net_stats,
-            drop_first,
-            start_index=start_index,
-            recorder=recorder,
+def _prefix_settling(
+    arrays: Dict[str, np.ndarray], initial: Optional[Dict[str, int]]
+) -> Dict[str, np.ndarray]:
+    """Prepend the settling pattern: the state the circuit held before
+    pattern 0 (``initial``, defaulting to pattern 0 itself).  Index 0 of
+    the simulated stream is dropped from all per-pattern results, so
+    delays/toggles are exact two-vector quantities for every reported
+    pattern."""
+    prefixed = {}
+    for name, arr in arrays.items():
+        first = (
+            np.uint64(initial[name])
+            if initial is not None and name in initial
+            else arr[0]
         )
-
-    def _run_chunk_percell(
-        self,
-        arrays: Dict[str, np.ndarray],
-        carry_values: Optional[np.ndarray],
-        carry_held: Dict[int, int],
-        collect_bit_arrivals: bool,
-        collect_net_stats: bool,
-        drop_first: bool,
-        start_index: int = -1,
-        recorder=None,
-    ):
-        """Reference per-cell chunk runner (the pre-SoA interpreter)."""
-        fault_hooks = self.fault_hooks
-        netlist = self.netlist
-        n = next(iter(arrays.values())).shape[0]
-        zeros_f = np.zeros(n)
-        false_b = np.zeros(n, dtype=bool)
-        inertial = self.mode == "inertial"
-        lo = 1 if drop_first else 0
-        record_values = recorder is not None and getattr(
-            recorder, "wants_values", False
-        )
-        if recorder is not None:
-            recorder.begin(start_index + lo, lo)
-
-        values: Dict[int, np.ndarray] = {}
-        mays: Dict[int, np.ndarray] = {}
-        arrs: Dict[int, np.ndarray] = {}
-        trans: Dict[int, np.ndarray] = {}
-
-        values[CONST0] = np.zeros(n, dtype=np.uint8)
-        values[CONST1] = np.ones(n, dtype=np.uint8)
-        mays[CONST0] = mays[CONST1] = false_b
-        arrs[CONST0] = arrs[CONST1] = zeros_f
-        trans[CONST0] = trans[CONST1] = zeros_f
-
-        switched = np.zeros(n)
-        sig_sum = np.zeros(self.num_nets) if collect_net_stats else None
-        tog_sum = np.zeros(self.num_nets) if collect_net_stats else None
-        if collect_net_stats:
-            sig_sum[CONST1] = n
-
-        final_values = np.zeros(self.num_nets, dtype=np.uint8)
-        new_held: Dict[int, int] = {}
-
-        def changed_flags(net: int, vals: np.ndarray) -> np.ndarray:
-            """Per-step value-change flags with exact chunk carry."""
-            flags = np.empty(n, dtype=bool)
-            if carry_values is None:
-                flags[0] = False
-            else:
-                flags[0] = vals[0] != carry_values[net]
-            flags[1:] = vals[1:] != vals[:-1]
-            return flags
-
-        # Primary inputs: expand port words into per-net bit streams.
-        for name, port in netlist.input_ports.items():
-            bits = logic.unpack_bits(arrays[name], port.width)
-            for lane, net in enumerate(port.nets):
-                cur = bits[lane]
-                if net in fault_hooks:
-                    cur = np.asarray(
-                        fault_hooks[net](cur, start_index), dtype=np.uint8
-                    )
-                flags = changed_flags(net, cur)
-                values[net] = cur
-                mays[net] = flags
-                arrs[net] = zeros_f
-                trans[net] = flags.astype(float)
-                final_values[net] = cur[-1]
-                if recorder is not None:
-                    recorder.net_may(net, flags)
-                    if record_values:
-                        recorder.net_values(net, cur)
-                if collect_net_stats:
-                    sig_sum[net] = cur.sum()
-                    tog_sum[net] = flags.sum()
-
-        group_enable_net = netlist.group_enables
-
-        for compiled in self._cells:
-            in_vals = [values[net] for net in compiled.inputs]
-            in_mays = [mays[net] for net in compiled.inputs]
-            out_val = logic.eval_vector(compiled.opcode, in_vals)
-            net = compiled.output
-            if net in fault_hooks:
-                out_val = np.asarray(
-                    fault_hooks[net](out_val, start_index), dtype=np.uint8
-                )
-            changed = changed_flags(net, out_val)
-            aux = logic.aux_masks(compiled.opcode, in_vals)
-            if inertial:
-                out_may = changed
-            else:
-                out_may = logic.may_vector(
-                    compiled.opcode, in_vals, in_mays, aux
-                )
-            if recorder is None:
-                in_arrs = [arrs[net] for net in compiled.inputs]
-                arrs[net] = logic.arrival_masks(
-                    compiled.opcode, aux, in_arrs, compiled.delay_ns,
-                    out_may,
-                )
-            else:
-                # Value-plane pass: the recorder keeps the masks the
-                # arrival rules consume; arrivals are replayed later for
-                # arbitrarily many delay vectors.
-                recorder.cell(compiled.position, net, out_may, aux)
-                if record_values:
-                    recorder.net_values(net, out_val)
-            values[net] = out_val
-            mays[net] = out_may
-            final_values[net] = out_val[-1]
-
-            # Switching activity: value-conditioned transition densities
-            # (glitches included; disabled tri-state groups stay quiet).
-            out_trans = logic.transition_vector(
-                compiled.opcode,
-                in_vals,
-                [trans[used] for used in compiled.inputs],
-                changed,
-                damping=self.technology.glitch_damping,
-            )
-            trans[net] = out_trans
-            switched += out_trans * compiled.cap
-
-            if collect_net_stats:
-                # Toggle stats use functional (zero-delay) changes, with
-                # grouped cells held while their bypass enable is low.
-                if (
-                    compiled.group is not None
-                    and compiled.group in group_enable_net
-                ):
-                    enable = values[group_enable_net[compiled.group]]
-                    toggles, held_final = logic.tribuf_masked_toggles(
-                        out_val, enable, carry_held.get(net)
-                    )
-                    new_held[net] = held_final
-                else:
-                    toggles = changed
-                sig_sum[net] = out_val.sum()
-                tog_sum[net] = toggles.sum()
-
-            # Free nets whose last consumer has now run.
-            for used in compiled.inputs:
-                if (
-                    used not in self._protected
-                    and self._last_use.get(used) == compiled.position
-                ):
-                    values.pop(used, None)
-                    mays.pop(used, None)
-                    arrs.pop(used, None)
-                    trans.pop(used, None)
-
-        outputs: Dict[str, np.ndarray] = {}
-        bit_arrivals: Optional[Dict[str, np.ndarray]] = (
-            {} if collect_bit_arrivals else None
-        )
-        delays = np.zeros(n)
-        for name, port in netlist.output_ports.items():
-            bit_matrix = np.vstack([values[net] for net in port.nets])
-            outputs[name] = logic.pack_bits(bit_matrix)[lo:]
-            if recorder is None:
-                port_arr = np.vstack([arrs[net] for net in port.nets])
-                if collect_bit_arrivals:
-                    bit_arrivals[name] = port_arr[:, lo:]
-                delays = np.maximum(delays, port_arr.max(axis=0))
-            elif collect_bit_arrivals:
-                bit_arrivals[name] = np.zeros((port.width, n - lo))
-
-        reported = n - lo
-        result = StreamResult(
-            outputs=outputs,
-            delays=delays[lo:],
-            switched_caps=switched[lo:],
-            num_patterns=reported,
-            bit_arrivals=bit_arrivals,
-            signal_prob=(sig_sum / n) if collect_net_stats else None,
-            toggle_counts=tog_sum if collect_net_stats else None,
-        )
-        return result, final_values, new_held
+        prefixed[name] = np.concatenate(([first], arr))
+    return prefixed
 
 
 def _concatenate_results(

@@ -21,13 +21,18 @@ aging timestep and variation corner.  This module exploits that split:
   O(timesteps x full-sim) lifetime sweep becomes O(1 value pass +
   timesteps x cheap replay).
 
+Both :class:`ArrivalReplay` and the cone-delta base
+(:class:`repro.timing.delta.DeltaBase`) run the same bucketed loop,
+:func:`replay_buckets`, each over its own pattern windows.
+
 Bit-identity contract: for any scale vector ``s``,
 ``ArrivalReplay(circuit, plane).replay(s)`` reproduces
 ``CompiledCircuit(netlist, tech, s, mode, hooks).run(stimulus)`` bit for
-bit -- same float op sequence through the shared
-:func:`repro.timing.logic.arrival_masks` kernel, same quiet-zero
-invariant, regardless of how the plane build was chunked.  This is
-asserted by ``tests/test_replay.py``.
+bit -- the same elementwise float ops as
+:func:`repro.timing.logic.arrival_masks`, same quiet-zero invariant,
+regardless of how the plane build was chunked.  This is asserted by
+``tests/test_replay.py``, with :mod:`repro.timing.reference` as the
+per-cell oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import SimulationError
-from ..nets.netlist import CONST0, CONST1
 from . import logic
 from .engine import CompiledCircuit, StreamResult
 
@@ -327,8 +331,6 @@ class ArrivalReplay:
             collect_bit_arrivals: Keep port -> ``(width, k, n)`` per-bit
                 arrival matrices.
         """
-        circuit = self.circuit
-        plane = self.plane
         scales = np.asarray(delay_scales, dtype=float)
         if scales.ndim == 1:
             scales = scales[None, :]
@@ -340,55 +342,17 @@ class ArrivalReplay:
             )
         if np.any(scales <= 0):
             raise SimulationError("delay_scale entries must be positive")
-        k = scales.shape[0]
-        n = plane.num_patterns
-        if circuit.kernel == "numba":
-            from . import jit
-
-            if jit.jit_enabled():
-                delays, bit_arrivals = jit.replay(
-                    self, scales, k, n, collect_bit_arrivals
-                )
-            else:
-                # numba absent: fall back to the SoA replay, which is
-                # bit-identical (same arithmetic, different looping).
-                delays, bit_arrivals = self._replay_soa(
-                    scales, k, n, collect_bit_arrivals
-                )
-        elif circuit.kernel != "percell":
-            delays, bit_arrivals = self._replay_soa(
-                scales, k, n, collect_bit_arrivals
-            )
-        else:
-            delays, bit_arrivals = self._replay_percell(
-                scales, k, n, collect_bit_arrivals
-            )
+        delays, bit_arrivals = self._replay_soa(scales, collect_bit_arrivals)
         return ReplayResult(
-            plane=plane,
+            plane=self.plane,
             delay_scales=scales,
             delays=delays,
             bit_arrivals=bit_arrivals,
         )
 
-    def _replay_soa(
-        self,
-        scales: np.ndarray,
-        k: int,
-        n: int,
-        collect_bit_arrivals: bool,
-    ):
-        """Bucketed sparse replay: every (level, opcode) bucket prices
-        all ``k`` corners at once, touching only *active* entries.
-
-        The chunk is laid out ``(num_nets, c, k)`` so a bucket's
-        ``(B, c)`` may-mask indexes (cell, pattern) entries directly:
-        arrivals are computed as a flat ``(nnz, k)`` workspace over the
-        entries whose output may change and scattered into the
-        pre-zeroed chunk.  Inactive entries are exactly the
-        ``where(may, .., 0.0)`` zeros of the reference kernel, so the
-        result stays bit-identical while arithmetic and memory traffic
-        scale with the active fraction (~1/3 on a bypass multiplier
-        under uniform operands, since bypassed columns sit quiet).
+    def _replay_soa(self, scales: np.ndarray, collect_bit_arrivals: bool):
+        """Port delays via :func:`replay_buckets`, one pattern chunk at
+        a time.
 
         The pattern axis is chunked (multiples of 8, so the bit-packed
         plane unpacks byte-aligned) to bound the dense
@@ -396,8 +360,9 @@ class ArrivalReplay:
         cross-pattern state, so chunking is exact.
         """
         circuit = self.circuit
-        plane = self.plane
         plan = circuit.soa_replay_plan()
+        k = scales.shape[0]
+        n = self.plane.num_patterns
         num_nets = circuit.num_nets
         chunk = _replay_chunk_size(num_nets, k)
         delays = np.zeros((k, n))
@@ -415,49 +380,7 @@ class ArrivalReplay:
             sub = arr[:, :c, :]
             if start:
                 sub[...] = 0.0  # quiet entries / input rails stay 0
-            byte0 = start // 8
-            byte1 = (stop + 7) // 8
-            for bucket_list in plan.levels:
-                for bucket in bucket_list:
-                    outs = bucket.outputs
-                    pins = bucket.pins
-                    may = np.unpackbits(
-                        plane.may_packed[outs, byte0:byte1],
-                        axis=1,
-                        count=c,
-                    ).view(bool)
-                    rows, cols = np.nonzero(may)
-                    if not rows.size:
-                        continue
-                    count = _aux_count(bucket.opcode, pins.shape[0])
-                    if count:
-                        aux_rows = plane.aux_offsets[bucket.positions]
-                        aux = tuple(
-                            np.unpackbits(
-                                plane.aux_packed[
-                                    aux_rows + lane, byte0:byte1
-                                ],
-                                axis=1,
-                                count=c,
-                            ).view(bool)[rows, cols]
-                            for lane in range(count)
-                        )
-                    else:
-                        aux = ()
-                    arrs = [
-                        sub[pins[j][rows], cols]
-                        for j in range(pins.shape[0])
-                    ]
-                    # fresh_delay_ns * scale per (cell, corner), exactly
-                    # the engine's per-cell delay at every corner.
-                    delay = (
-                        bucket.fresh_delays[:, None]
-                        * scales[:, bucket.cell_indices].T
-                    )
-                    out = _active_arrival(
-                        bucket.opcode, aux, arrs, delay[rows]
-                    )
-                    sub[outs[rows], cols] = out
+            replay_buckets(plan, self.plane, scales, sub, start, stop)
             for name, port in ports.items():
                 port_arr = sub[list(port.nets)]
                 if collect_bit_arrivals:
@@ -467,71 +390,6 @@ class ArrivalReplay:
                 delays[:, start:stop] = np.maximum(
                     delays[:, start:stop], port_arr.max(axis=0).T
                 )
-        return delays, bit_arrivals
-
-    def _replay_percell(
-        self,
-        scales: np.ndarray,
-        k: int,
-        n: int,
-        collect_bit_arrivals: bool,
-    ):
-        """Reference per-cell replay (the pre-SoA interpreter)."""
-        circuit = self.circuit
-        plane = self.plane
-        zeros_f = np.zeros(n)
-        arrs: Dict[int, np.ndarray] = {CONST0: zeros_f, CONST1: zeros_f}
-        for port in circuit.netlist.input_ports.values():
-            for net in port.nets:
-                arrs[net] = zeros_f
-
-        # Freed (k, n) arrival buffers are pooled and reused, so the
-        # replay loop settles into zero allocator traffic.
-        pool: List[np.ndarray] = []
-
-        def alloc() -> np.ndarray:
-            return pool.pop() if pool else np.empty((k, n))
-
-        protected = circuit._protected
-        last_use = circuit._last_use
-        for compiled in circuit._cells:
-            in_arrs = [arrs[net] for net in compiled.inputs]
-            out_may = plane.may(compiled.output)
-            aux = plane.aux(compiled.position)
-            # Matches the engine's per-cell delay bit for bit:
-            # fresh_delay_ns * scale, broadcast down the corner axis.
-            delay = compiled.fresh_delay_ns * scales[:, compiled.index]
-            arrs[compiled.output] = _arrival_into(
-                compiled.opcode,
-                aux,
-                in_arrs,
-                delay[:, None],
-                out_may,
-                alloc,
-                pool,
-                zeros_f,
-            )
-            for used in compiled.inputs:
-                if (
-                    used not in protected
-                    and last_use.get(used) == compiled.position
-                ):
-                    dead = arrs.pop(used, None)
-                    if dead is not None and dead.shape == (k, n):
-                        pool.append(dead)
-
-        delays = np.zeros((k, n))
-        bit_arrivals: Optional[Dict[str, np.ndarray]] = (
-            {} if collect_bit_arrivals else None
-        )
-        for name, port in circuit.netlist.output_ports.items():
-            port_arr = np.stack(
-                [np.broadcast_to(arrs[net], (k, n)) for net in port.nets]
-            )
-            if collect_bit_arrivals:
-                bit_arrivals[name] = port_arr
-            delays = np.maximum(delays, port_arr.max(axis=0))
-
         return delays, bit_arrivals
 
     def stream(
@@ -548,9 +406,59 @@ class ArrivalReplay:
         ).stream_result(0)
 
 
-def _cols(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Pattern-axis gather that tolerates (n,) and (k, n) operands."""
-    return arr[idx] if arr.ndim == 1 else arr[:, idx]
+def replay_buckets(plan, plane, scales, out, start, stop) -> None:
+    """Bucketed sparse arrival replay of patterns ``[start, stop)``.
+
+    ``out`` is a pre-zeroed ``(num_nets, stop - start, k)`` window;
+    ``start`` must be a multiple of 8 (the plane unpacks byte-aligned).
+    Every (level, opcode) bucket of ``plan`` prices all ``k`` rows of
+    ``scales`` at once, touching only *active* entries: a bucket's
+    ``(B, c)`` may-mask indexes (cell, pattern) entries directly,
+    arrivals are computed as a flat ``(nnz, k)`` workspace over the
+    entries whose output may change and scattered into ``out``.
+    Inactive entries are exactly the ``where(may, .., 0.0)`` zeros of
+    :func:`repro.timing.logic.arrival_masks`, so the result stays
+    bit-identical while arithmetic and memory traffic scale with the
+    active fraction (~1/3 on a bypass multiplier under uniform
+    operands, since bypassed columns sit quiet).  Rows of quiet
+    entries, primary inputs and constant rails stay 0.0.
+    """
+    c = stop - start
+    byte0 = start // 8
+    byte1 = (stop + 7) // 8
+    for bucket_list in plan.levels:
+        for bucket in bucket_list:
+            outs = bucket.outputs
+            pins = bucket.pins
+            may = np.unpackbits(
+                plane.may_packed[outs, byte0:byte1], axis=1, count=c
+            ).view(bool)
+            rows, cols = np.nonzero(may)
+            if not rows.size:
+                continue
+            count = _aux_count(bucket.opcode, pins.shape[0])
+            if count:
+                aux_rows = plane.aux_offsets[bucket.positions]
+                aux = tuple(
+                    np.unpackbits(
+                        plane.aux_packed[aux_rows + lane, byte0:byte1],
+                        axis=1,
+                        count=c,
+                    ).view(bool)[rows, cols]
+                    for lane in range(count)
+                )
+            else:
+                aux = ()
+            arrs = [out[pins[j][rows], cols] for j in range(pins.shape[0])]
+            # fresh_delay_ns * scale per (cell, corner), exactly the
+            # engine's per-cell delay at every corner.
+            delay = (
+                bucket.fresh_delays[:, None]
+                * scales[:, bucket.cell_indices].T
+            )
+            out[outs[rows], cols] = _active_arrival(
+                bucket.opcode, aux, arrs, delay[rows]
+            )
 
 
 def _active_arrival(opcode, aux, arrs, delay):
@@ -559,10 +467,11 @@ def _active_arrival(opcode, aux, arrs, delay):
     Operands are ``(nnz, k)`` arrays (one row per (cell, pattern) entry
     whose output may change, all corners side by side) with ``(nnz,)``
     aux masks.  Bit-identical to :func:`repro.timing.logic
-    .arrival_masks` restricted to those entries -- the elementwise
-    identities are the same ones :func:`_arrival_into` uses, minus the
-    quiet-zero pass (callers scatter into pre-zeroed storage, which IS
-    the ``where(may, .., 0.0)`` branch).
+    .arrival_masks` restricted to those entries: the selection masks
+    depend only on values, and every identity used is float-exact
+    (arrivals are always >= 0.0, min/max/select never round).  The
+    quiet-zero pass is absent -- callers scatter into pre-zeroed
+    storage, which IS the ``where(may, .., 0.0)`` branch.
     """
     if opcode in (logic.OP_BUF, logic.OP_INV):
         return arrs[0] + delay
@@ -612,77 +521,3 @@ def _active_arrival(opcode, aux, arrs, delay):
     return logic.arrival_masks(
         opcode, tuple(a[:, None] for a in aux), arrs, delay, out_may
     )
-
-
-def _arrival_into(opcode, aux, arrs, delay, out_may, alloc, pool, zeros_f):
-    """Replay-optimized arrival kernel, bit-identical to
-    :func:`repro.timing.logic.arrival_masks`.
-
-    Works in place on pooled ``(k, n)`` buffers and replaces the generic
-    ``np.where`` chains with integer-indexed partial writes: the
-    selection masks depend only on values, so one ``(n,)`` index vector
-    serves all ``k`` corners and the write cost scales with how often a
-    case actually occurs.  Every identity used is float-exact (arrivals
-    are always >= 0.0, min/max/select never round), which the
-    equivalence suite asserts against full engine runs.
-    """
-    if not out_may.any():
-        # Quiet everywhere: the engine's where(may, ..., 0) yields all
-        # zeros; share the (n,) zero rail (broadcasts downstream).
-        return zeros_f
-
-    if opcode in (logic.OP_BUF, logic.OP_INV):
-        out = alloc()
-        np.add(arrs[0], delay, out=out)
-    elif opcode in (logic.OP_XOR2, logic.OP_XNOR2):
-        out = alloc()
-        np.maximum(arrs[0], arrs[1], out=out)
-        out += delay
-    elif (
-        logic.CONTROLLING_VALUE.get(opcode) is not None
-        and len(arrs) == 2
-    ):
-        # 2-input controlled gate: base is max(a0, a1) (no controlling
-        # input), a0 / a1 (one controlling input: earliest-controller
-        # cap), or min(a0, a1) (both controlling).
-        c0, c1 = aux
-        a0, a1 = arrs
-        out = alloc()
-        np.maximum(a0, a1, out=out)
-        both = np.nonzero(c0 & c1)[0]
-        if both.size:
-            out[:, both] = np.minimum(_cols(a0, both), _cols(a1, both))
-        only0 = np.nonzero(c0 & ~c1)[0]
-        if only0.size:
-            out[:, only0] = _cols(a0, only0)
-        only1 = np.nonzero(c1 & ~c0)[0]
-        if only1.size:
-            out[:, only1] = _cols(a1, only1)
-        out += delay
-    elif opcode == logic.OP_MUX2:
-        (sel,) = aux
-        out = alloc()
-        out[:] = arrs[0]
-        chosen1 = np.nonzero(sel)[0]
-        if chosen1.size:
-            out[:, chosen1] = _cols(arrs[1], chosen1)
-        np.maximum(out, arrs[2], out=out)
-        out += delay
-    elif opcode == logic.OP_TRIBUF:
-        (enabled,) = aux
-        out = alloc()
-        out[:] = arrs[0]
-        disabled = np.nonzero(~enabled)[0]
-        if disabled.size:
-            out[:, disabled] = 0.0
-        np.maximum(out, arrs[1], out=out)
-        out += delay
-    else:
-        # Rare shapes (3-input controlled gates): generic reference
-        # kernel.  delay is (k, 1), so this is a fresh (k, n) array.
-        return logic.arrival_masks(opcode, aux, arrs, delay, out_may)
-
-    quiet = np.nonzero(~out_may)[0]
-    if quiet.size:
-        out[:, quiet] = 0.0
-    return out

@@ -20,7 +20,7 @@ correctness never depends on hook authors opting in.
 
 On-disk entries follow the fingerprint-guard idiom of
 :mod:`repro.faults.store`: each entry is a single ``.npz`` written
-atomically (tmp + rename) whose embedded key must match the requested
+atomically (:func:`repro.util.atomic.atomic_write`) whose embedded key must match the requested
 key exactly -- a stale or corrupt file is ignored and rebuilt, never
 trusted.
 """
@@ -35,6 +35,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..nets.netlist import Netlist
+from ..util.atomic import atomic_write
 from .engine import CompiledCircuit
 from .replay import ValuePlane, build_value_plane
 
@@ -176,10 +177,8 @@ def save_plane(plane: ValuePlane, path: str) -> None:
         arrays["toggle_counts"] = plane.toggle_counts
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fp:
+    with atomic_write(path) as fp:
         np.savez(fp, **arrays)
-    os.replace(tmp, path)
 
 
 def load_plane(path: str) -> ValuePlane:

@@ -40,7 +40,7 @@ from repro.faults.injector import (
 from repro.faults.models import DelayFault, StuckAtFault
 from repro.nets import Mutation, apply_mutations, retype, tie_high, tie_low
 from repro.nets.netlist import CONST0
-from repro.timing import CompiledCircuit, jit
+from repro.timing import CompiledCircuit
 from repro.timing.delta import (
     DeltaBase,
     build_delta_plane,
@@ -184,7 +184,7 @@ class TestPatchCompiled:
         for name, matrix in want.bit_arrivals.items():
             assert np.array_equal(got.bit_arrivals[name], matrix)
         # Re-bucketing one level permutes the switched-cap accumulation
-        # order: identical to float association, like across-kernel.
+        # order: identical up to float association.
         assert np.allclose(
             got.switched_caps, want.switched_caps, rtol=1e-12, atol=1e-9
         )
@@ -257,14 +257,6 @@ class TestPatchCompiled:
         child = apply_mutations(netlist, [mutation])
         with pytest.raises(DeltaError):
             patch_compiled(parent, child)
-
-    def test_numba_parent_demotes_to_soa(self, design):
-        netlist = design["netlist"]
-        parent = CompiledCircuit(netlist, kernel="numba")
-        child = apply_mutations(
-            netlist, [swap_of(netlist, retypable_cells(netlist)[0])]
-        )
-        assert patch_compiled(parent, child).kernel == "soa"
 
 
 class TestReplayDelta:
@@ -405,16 +397,6 @@ class TestDeltaErrors:
         )
         with pytest.raises(DeltaError):
             build_delta_plane(hooked, design["stimulus"])
-
-    def test_active_jit_cannot_capture_values(self, design):
-        previous = jit.force_python(not jit.HAVE_NUMBA)
-        try:
-            assert jit.jit_enabled()
-            circuit = CompiledCircuit(design["netlist"], kernel="numba")
-            with pytest.raises(DeltaError):
-                build_delta_plane(circuit, design["stimulus"])
-        finally:
-            jit.force_python(previous)
 
     def test_ragged_stimulus_rejected(self, design):
         circuit = CompiledCircuit(design["netlist"])

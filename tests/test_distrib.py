@@ -420,17 +420,49 @@ class TestSuitePooled:
         assert "error" in responses[1]
 
 
+class TestLegacyKernelKey:
+    def test_soa_accepted_everything_else_rejected(self):
+        """Specs from before the single gate kernel carry
+        ``"kernel": "soa"``: sweep payloads keep emitting it (their
+        digests depend on the bytes), every JSON entry point accepts
+        it, and any other kernel name is a ConfigError."""
+        from repro.experiments.sweep import (
+            SweepSpec,
+            render_payload,
+            sweep_payload,
+        )
+        from repro.faults.campaign import campaign_from_spec
+        from repro.montecarlo.runner import merge_mc_shards, run_mc_shard
+
+        spec = SweepSpec(num_variants=3)
+        data = spec.to_dict()
+        assert data["kernel"] == "soa"
+        assert '"kernel": "soa"' in render_payload(sweep_payload(spec, []))
+        assert SweepSpec.from_dict(data) == spec
+        assert run_job({"job": "ping", "kernel": "soa"}) == {"pong": True}
+
+        for kernel in ("numba", "percell"):
+            with pytest.raises(ConfigError):
+                SweepSpec.from_dict(dict(data, kernel=kernel))
+            with pytest.raises(ConfigError):
+                campaign_from_spec({"width": 4, "kernel": kernel})
+            with pytest.raises(ConfigError):
+                run_mc_shard({"kernel": kernel}, (0, 1))
+            with pytest.raises(ConfigError):
+                merge_mc_shards({"kernel": kernel}, [])
+            with pytest.raises(ConfigError):
+                run_job({"job": "ping", "kernel": kernel})
+
+
 class TestCliPlumbing:
     def test_faults_parser_accepts_distrib_flags(self):
         from repro.faults.__main__ import make_parser
 
         args = make_parser().parse_args(
-            ["run", "--shard", "2/4", "--pool", "local:2",
-             "--kernel", "numba"]
+            ["run", "--shard", "2/4", "--pool", "local:2"]
         )
         assert args.shard == (2, 4)
         assert args.pool == "local:2"
-        assert args.kernel == "numba"
 
     def test_faults_parser_rejects_bad_shard(self, capsys):
         from repro.faults.__main__ import make_parser
@@ -444,7 +476,7 @@ class TestCliPlumbing:
 
         args = make_parser().parse_args(
             ["--shard", "1/2", "--shard-json", "x.json",
-             "--kernel", "soa", "--pool", "manifest:/tmp/x"]
+             "--pool", "manifest:/tmp/x"]
         )
         assert args.shard == (1, 2)
         assert args.shard_json == "x.json"
@@ -453,6 +485,21 @@ class TestCliPlumbing:
         from repro.montecarlo import cli
 
         assert cli.main(["--shard", "1/2", "--dies", "4"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["experiments", "fig7"],
+        ["faults", "run"],
+        ["service", "serve", "--port", "0"],
+        ["mc"],
+        ["sweep"],
+    ])
+    def test_no_cli_takes_a_kernel_flag(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--kernel", "soa"])
+        assert err.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
 
     def test_distrib_registered_in_top_level_cli(self):
         from repro.__main__ import COMMANDS

@@ -10,14 +10,12 @@ masking discipline) and checks the engine-agreement invariants:
 * inertial-mode delays never exceed floating-mode delays;
 * chunked streaming is exact;
 * a dump/parse round trip simulates identically;
-* the ``percell`` / ``soa`` / ``numba`` kernels are bit-identical on
-  values, delays and bit arrivals, with and without folding and fault
-  hooks (the numba kernel runs in pure-python mode when numba is
-  absent, so the JIT kernel bodies are always part of the fuzz).
+* the bucketed engine and the per-cell reference interpreter
+  (:mod:`repro.timing.reference`) are bit-identical on values, delays
+  and bit arrivals, with and without folding and fault hooks.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.injector import compile_with_faults
@@ -25,15 +23,7 @@ from repro.faults.models import StuckAtFault, TransientBitFlip
 from repro.nets.export import dump_netlist, parse_netlist
 from repro.nets.netlist import Netlist
 from repro.timing import CompiledCircuit, EventSimulator
-from repro.timing import jit
-from repro.timing.engine import KERNELS
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _exercise_jit_path():
-    previous = jit.force_python(not jit.HAVE_NUMBA)
-    yield
-    jit.force_python(previous)
+from repro.timing.reference import reference_run
 
 GATES_1 = ["INV", "BUF"]
 GATES_2 = ["AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2"]
@@ -131,23 +121,20 @@ def test_chunked_streaming_exact(case, chunk_size):
        st.booleans(), st.booleans())
 def test_kernels_bit_identical(case, mode, fold, bit_arrivals):
     nl, stimulus = case
-    results = {}
-    for kernel in KERNELS:
-        circuit = CompiledCircuit(nl, mode=mode, kernel=kernel)
-        results[kernel] = circuit.run(
-            {"x": stimulus}, fold=fold,
-            collect_bit_arrivals=bit_arrivals,
-        )
-    want = results["percell"]
-    for kernel in ("soa", "numba"):
-        got = results[kernel]
-        assert np.array_equal(got.outputs["o"], want.outputs["o"])
-        assert np.array_equal(got.delays, want.delays)
-        assert np.allclose(got.switched_caps, want.switched_caps,
-                           rtol=1e-12, atol=1e-9)
-        if bit_arrivals:
-            assert np.array_equal(got.bit_arrivals["o"],
-                                  want.bit_arrivals["o"])
+    circuit = CompiledCircuit(nl, mode=mode)
+    want = reference_run(
+        circuit, {"x": stimulus}, collect_bit_arrivals=bit_arrivals
+    )
+    got = circuit.run(
+        {"x": stimulus}, fold=fold, collect_bit_arrivals=bit_arrivals
+    )
+    assert np.array_equal(got.outputs["o"], want.outputs["o"])
+    assert np.array_equal(got.delays, want.delays)
+    assert np.allclose(got.switched_caps, want.switched_caps,
+                       rtol=1e-12, atol=1e-9)
+    if bit_arrivals:
+        assert np.array_equal(got.bit_arrivals["o"],
+                              want.bit_arrivals["o"])
 
 
 @settings(max_examples=30, deadline=None)
@@ -161,19 +148,12 @@ def test_kernels_bit_identical_with_fault_hooks(case, pick, seu):
                                    seed=pick % 97)]
     else:
         faults = [StuckAtFault(net=target, value=pick % 2)]
-    results = {}
-    for kernel in KERNELS:
-        circuit = compile_with_faults(nl, faults, kernel=kernel)
-        results[kernel] = circuit.run(
-            {"x": stimulus}, collect_bit_arrivals=True
-        )
-    want = results["percell"]
-    for kernel in ("soa", "numba"):
-        got = results[kernel]
-        assert np.array_equal(got.outputs["o"], want.outputs["o"])
-        assert np.array_equal(got.delays, want.delays)
-        assert np.array_equal(got.bit_arrivals["o"],
-                              want.bit_arrivals["o"])
+    circuit = compile_with_faults(nl, faults)
+    want = reference_run(circuit, {"x": stimulus}, collect_bit_arrivals=True)
+    got = circuit.run({"x": stimulus}, collect_bit_arrivals=True)
+    assert np.array_equal(got.outputs["o"], want.outputs["o"])
+    assert np.array_equal(got.delays, want.delays)
+    assert np.array_equal(got.bit_arrivals["o"], want.bit_arrivals["o"])
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,21 +1,14 @@
 """Levelized SoA kernel + unique-stimulus folding equivalence suite.
 
-The structure-of-arrays chunk runner (``kernel="soa"``, the default),
-the JIT backend (``kernel="numba"``) and the reference per-cell
-interpreter (``kernel="percell"``) must be bit-identical for every
-observable the ISSUE names: output values, per-pattern delays, bit
-arrivals, toggle counts / signal probabilities, across chunk sizes,
-initial conditions, every fault-hook model and every recovery policy.
-``switched_caps`` is the one deliberate exception *across kernels*:
-each backend accumulates capacitance in a different float association
-(values identical to ~1 ulp, asserted with ``allclose``); within one
-kernel it stays exact, which the folding and chunking tests assert.
-
-When numba is not installed the module-level fixture flips the JIT
-module into pure-python mode, so ``kernel="numba"`` still executes the
-JIT kernel bodies (through the interpreter) instead of silently
-collapsing onto the SoA fallback -- the equivalence matrix runs
-everywhere, and runs the real compiled kernels wherever numba exists.
+The structure-of-arrays engine and the per-cell reference interpreter
+(:mod:`repro.timing.reference`) must be bit-identical for every
+observable: output values, per-pattern delays, bit arrivals, toggle
+counts / signal probabilities, across chunk sizes, initial conditions,
+every fault-hook model and every recovery policy.  ``switched_caps`` is
+the one deliberate exception *against the reference*: the engine sums
+capacitance per bucket, a different float association (values
+identical to ~1 ulp, asserted with ``allclose``); within the engine it
+stays exact, which the folding and chunking tests assert.
 """
 
 import numpy as np
@@ -24,7 +17,7 @@ import pytest
 from repro.aging.degradation import AgedCircuitFactory
 from repro.arith import column_bypass_multiplier
 from repro.core.architecture import AgingAwareMultiplier
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.faults.injector import compile_with_faults
 from repro.faults.models import DelayFault, StuckAtFault, TransientBitFlip
 from repro.timing import (
@@ -32,27 +25,15 @@ from repro.timing import (
     CompiledCircuit,
     ValuePlaneCache,
     auto_chunk_size,
+    DeltaBase,
     build_value_plane,
     fold_stimulus,
-    normalize_kernel,
     unfold_stream,
 )
-from repro.timing import jit
 from repro.timing import replay as replay_mod
-from repro.timing.engine import KERNELS
 from repro.timing.fold import MIN_FOLD_PATTERNS
+from repro.timing.reference import reference_replay, reference_run
 from repro.workloads import sparse_fir_stream, uniform_operands
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _exercise_jit_path():
-    # Without numba, run the JIT kernels as plain python so the
-    # ``kernel="numba"`` rows of the matrix below actually test the
-    # kernel bodies.  With numba installed this is a no-op and the
-    # compiled kernels run.
-    previous = jit.force_python(not jit.HAVE_NUMBA)
-    yield
-    jit.force_python(previous)
 
 
 @pytest.fixture(scope="module")
@@ -93,58 +74,35 @@ def assert_same(got, want, bit_arrivals=False, stats=False,
 
 
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("kernel", ["soa", "numba"])
     @pytest.mark.parametrize("mode", ["inertial", "floating"])
-    def test_kernels_match_percell_all_observables(
-        self, cb8, stream8, mode, kernel
+    def test_engine_matches_reference_all_observables(
+        self, cb8, stream8, mode
     ):
         kwargs = dict(collect_bit_arrivals=True, collect_net_stats=True)
-        want = CompiledCircuit(cb8, mode=mode, kernel="percell").run(
-            stream8, **kwargs
-        )
-        got = CompiledCircuit(cb8, mode=mode, kernel=kernel).run(
-            stream8, **kwargs
-        )
+        circuit = CompiledCircuit(cb8, mode=mode)
+        want = reference_run(circuit, stream8, **kwargs)
+        got = circuit.run(stream8, **kwargs)
         assert_same(got, want, bit_arrivals=True, stats=True,
                     caps_exact=False)
 
-    @pytest.mark.parametrize("kernel", ["soa", "numba"])
     @pytest.mark.parametrize("chunk", [64, 136, 10_000])
-    def test_chunked_matches_unchunked(self, cb8, stream8, chunk, kernel):
-        circuit = CompiledCircuit(cb8, kernel=kernel)
+    def test_chunked_matches_unchunked(self, cb8, stream8, chunk):
+        circuit = CompiledCircuit(cb8)
         want = circuit.run(stream8, collect_bit_arrivals=True,
                            collect_net_stats=True)
         got = circuit.run(stream8, collect_bit_arrivals=True,
                           collect_net_stats=True, chunk_size=chunk)
         assert_same(got, want, bit_arrivals=True, stats=True)
 
-    @pytest.mark.parametrize("kernel", ["soa", "numba"])
-    def test_initial_condition(self, cb8, kernel):
+    def test_initial_condition(self, cb8):
         stim = {"md": [7, 7, 3, 3], "mr": [5, 5, 9, 9]}
         initial = {"md": 0, "mr": 255}
-        want = CompiledCircuit(cb8, kernel="percell").run(
-            stim, initial=initial, collect_bit_arrivals=True
+        circuit = CompiledCircuit(cb8)
+        want = reference_run(
+            circuit, stim, initial=initial, collect_bit_arrivals=True
         )
-        got = CompiledCircuit(cb8, kernel=kernel).run(
-            stim, initial=initial, collect_bit_arrivals=True
-        )
+        got = circuit.run(stim, initial=initial, collect_bit_arrivals=True)
         assert_same(got, want, bit_arrivals=True, caps_exact=False)
-
-    def test_unknown_kernel_rejected(self, cb8):
-        assert KERNELS == ("soa", "percell", "numba")
-        with pytest.raises(SimulationError):
-            CompiledCircuit(cb8, kernel="simd")
-
-    def test_normalize_kernel_did_you_mean(self):
-        assert normalize_kernel("numba") == "numba"
-        for name in KERNELS:
-            assert normalize_kernel(name) == name
-        with pytest.raises(ConfigError) as err:
-            normalize_kernel("nunba")
-        assert "numba" in str(err.value)  # did-you-mean hint
-        with pytest.raises(ConfigError) as err:
-            normalize_kernel("percel")
-        assert "percell" in str(err.value)
 
     def test_cell_delays_cached_and_frozen(self, cb8):
         circuit = CompiledCircuit(cb8)
@@ -170,29 +128,18 @@ class TestFaultKernelEquivalence:
                                      rate=0.1, seed=2)]
         return [DelayFault(cell=12, extra_ns=0.4)]
 
-    @pytest.mark.parametrize("kernel", ["soa", "numba"])
     @pytest.mark.parametrize("kind", ["sa0", "sa1", "seu", "delay"])
-    def test_every_fault_model_matches_percell(
-        self, cb8, stream8, kind, kernel
-    ):
-        faults = self.faults_for(cb8, kind)
-        want = compile_with_faults(cb8, faults, kernel="percell").run(
-            stream8, collect_bit_arrivals=True
-        )
-        got = compile_with_faults(cb8, faults, kernel=kernel).run(
-            stream8, collect_bit_arrivals=True
-        )
+    def test_every_fault_model_matches_reference(self, cb8, stream8, kind):
+        circuit = compile_with_faults(cb8, self.faults_for(cb8, kind))
+        want = reference_run(circuit, stream8, collect_bit_arrivals=True)
+        got = circuit.run(stream8, collect_bit_arrivals=True)
         assert_same(got, want, bit_arrivals=True, caps_exact=False)
 
-    @pytest.mark.parametrize("kernel", ["soa", "numba"])
-    def test_multi_fault_chunked(self, cb8, stream8, kernel):
+    def test_multi_fault_chunked(self, cb8, stream8):
         faults = self.faults_for(cb8, "sa1") + self.faults_for(cb8, "seu")
-        want = compile_with_faults(cb8, faults, kernel="percell").run(
-            stream8, chunk_size=96
-        )
-        got = compile_with_faults(cb8, faults, kernel=kernel).run(
-            stream8, chunk_size=96
-        )
+        circuit = compile_with_faults(cb8, faults)
+        want = reference_run(circuit, stream8)
+        got = circuit.run(stream8, chunk_size=96)
         assert_same(got, want, caps_exact=False)
 
     @pytest.mark.parametrize(
@@ -201,25 +148,19 @@ class TestFaultKernelEquivalence:
     def test_recovery_policies_see_identical_streams(self, policy):
         arch = AgingAwareMultiplier.build(8)
         md, mr = uniform_operands(8, 300, seed=9)
-        streams = {}
-        for kernel in KERNELS:
-            circuit = CompiledCircuit(
-                arch.netlist, arch.technology, kernel=kernel
-            )
-            streams[kernel] = circuit.run({"md": md, "mr": mr})
-        runs = {
-            kernel: arch.run_patterns(
-                md, mr, stream=streams[kernel], policy=policy
-            )
-            for kernel in KERNELS
-        }
-        a = runs["soa"]
-        for kernel in KERNELS[1:]:
-            b = runs[kernel]
-            assert np.array_equal(a.products, b.products)
-            assert np.array_equal(a.errors, b.errors)
-            assert np.array_equal(a.delays, b.delays)
-            assert a.report == b.report
+        circuit = CompiledCircuit(arch.netlist, arch.technology)
+        streams = [
+            circuit.run({"md": md, "mr": mr}),
+            reference_run(circuit, {"md": md, "mr": mr}),
+        ]
+        a, b = (
+            arch.run_patterns(md, mr, stream=stream, policy=policy)
+            for stream in streams
+        )
+        assert np.array_equal(a.products, b.products)
+        assert np.array_equal(a.errors, b.errors)
+        assert np.array_equal(a.delays, b.delays)
+        assert a.report == b.report
 
 
 class TestFolding:
@@ -235,9 +176,8 @@ class TestFolding:
             full = np.asarray(foldable8[name], dtype=np.uint64)
             assert np.array_equal(folded[1::2][plan.inverse], full)
 
-    @pytest.mark.parametrize("kernel", ["soa", "numba"])
-    def test_run_fold_bit_identical(self, cb8, foldable8, kernel):
-        circuit = CompiledCircuit(cb8, kernel=kernel)
+    def test_run_fold_bit_identical(self, cb8, foldable8):
+        circuit = CompiledCircuit(cb8)
         want = circuit.run(foldable8, collect_bit_arrivals=True)
         got = circuit.run(foldable8, collect_bit_arrivals=True, fold=True)
         assert_same(got, want, bit_arrivals=True)
@@ -295,20 +235,19 @@ class TestReplayKernels:
 
     @pytest.mark.parametrize("mode", ["inertial", "floating"])
     def test_replay_kernels_all_match(self, cb8, stream8, mode):
-        results = {}
-        for kernel in KERNELS:
-            circuit = CompiledCircuit(cb8, mode=mode, kernel=kernel)
-            plane = build_value_plane(circuit, stream8)
-            results[kernel] = ArrivalReplay(circuit, plane).replay(
-                self.scales_for(circuit, 3), collect_bit_arrivals=True
-            )
-        a = results["soa"]
-        for kernel in KERNELS[1:]:
-            b = results[kernel]
-            assert np.array_equal(a.delays, b.delays)
-            for name in a.bit_arrivals:
-                assert np.array_equal(a.bit_arrivals[name],
-                                      b.bit_arrivals[name])
+        circuit = CompiledCircuit(cb8, mode=mode)
+        plane = build_value_plane(circuit, stream8)
+        scales = self.scales_for(circuit, 3)
+        a = ArrivalReplay(circuit, plane).replay(
+            scales, collect_bit_arrivals=True
+        )
+        b = reference_replay(
+            circuit, plane, scales, collect_bit_arrivals=True
+        )
+        assert np.array_equal(a.delays, b.delays)
+        for name in a.bit_arrivals:
+            assert np.array_equal(a.bit_arrivals[name],
+                                  b.bit_arrivals[name])
 
     def test_soa_replay_chunking_exact(self, cb8, stream8, monkeypatch):
         circuit = CompiledCircuit(cb8)
@@ -326,10 +265,16 @@ class TestReplayKernels:
         chunked = ArrivalReplay(circuit, plane).replay(
             scales, collect_bit_arrivals=True
         )
-        assert np.array_equal(whole.delays, chunked.delays)
-        for name in whole.bit_arrivals:
-            assert np.array_equal(whole.bit_arrivals[name],
-                                  chunked.bit_arrivals[name])
+        # The delta base runs the same bucket loop over one [0, n)
+        # window; its port rows must agree with both windowings.
+        base = DeltaBase(circuit, stream8, scales).result(
+            collect_bit_arrivals=True
+        )
+        for got in (chunked, base):
+            assert np.array_equal(whole.delays, got.delays)
+            for name in whole.bit_arrivals:
+                assert np.array_equal(whole.bit_arrivals[name],
+                                      got.bit_arrivals[name])
 
     def test_replay_chunk_size_properties(self):
         assert replay_mod._replay_chunk_size(1, 1) % 8 == 0
@@ -360,31 +305,6 @@ class TestAutoChunkBoundaries:
     def test_always_byte_aligned(self):
         for nets in (1, 7, 64, 1023, 50_000):
             assert auto_chunk_size(nets, 1000) % 8 == 0
-
-    def test_jit_kernel_widens_chunks(self):
-        # With the JIT path active (numba installed, or pure-python
-        # mode via the module fixture) the numba kernel amortizes
-        # per-chunk overhead better, so its auto chunks are 4x larger
-        # -- still byte-aligned, still floored at 64.
-        assert jit.jit_enabled()
-        for nets, patterns in ((300, 5000), (5000, 100000)):
-            soa = auto_chunk_size(nets, patterns)
-            wide = auto_chunk_size(nets, patterns, kernel="numba")
-            # 4x the byte budget, modulo the final round-down-to-8.
-            assert abs(wide - 4 * soa) <= 32
-            assert wide % 8 == 0
-        assert auto_chunk_size(10**9, 100, kernel="numba") == 64
-
-    def test_jit_chunk_factor_needs_jit(self):
-        # kernel="numba" without a usable JIT path falls back to the
-        # SoA kernel, so the chunk heuristic must match SoA exactly.
-        previous = jit.force_python(False)
-        try:
-            if not jit.HAVE_NUMBA:
-                assert (auto_chunk_size(300, 5000, kernel="numba")
-                        == auto_chunk_size(300, 5000))
-        finally:
-            jit.force_python(previous)
 
     def test_chunk_larger_than_stream_means_unchunked(self, cb8):
         # A chunk above num_patterns is valid and equals the unchunked

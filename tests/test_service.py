@@ -262,54 +262,6 @@ class TestStaleIsolation:
         assert response["status"] == "error"
 
 
-class TestKernelPlumbing:
-    def test_percell_server_matches_soa_direct(self):
-        """``serve --kernel percell`` is record-compatible with the
-        default soa backend on every field except the documented
-        switched-cap float-association exception."""
-        spec = QuerySpec(
-            width=WIDTH, kind="column", years=(0.0, 10.0),
-            num_patterns=NUM_PATTERNS, seed=1, cycle_ns=8.0,
-        )
-        config = ServiceConfig(
-            port=0, store_dir=None, workers=1,
-            characterize_patterns=CHAR_PATTERNS, kernel="percell",
-        )
-        with serve_in_background(config) as handle:
-            with ServiceClient(port=handle.port) as client:
-                served = client.results(
-                    WIDTH, "column", [0.0, 10.0],
-                    num_patterns=NUM_PATTERNS, cycle_ns=8.0,
-                )
-        direct = compute_direct(
-            spec, characterize_patterns=CHAR_PATTERNS, kernel="soa"
-        )
-        assert len(served) == len(direct)
-        for got, want in zip(served, direct):
-            caps = got.pop("mean_switched_cap"), want.pop(
-                "mean_switched_cap"
-            )
-            assert got == want
-            assert caps[0] == pytest.approx(caps[1], rel=1e-12)
-
-    def test_backend_normalizes_kernel(self):
-        # ServiceConfig is a plain dataclass; the Backend validates.
-        from repro.errors import ConfigError
-        from repro.service.backend import Backend
-
-        with pytest.raises(ConfigError) as err:
-            Backend(kernel="sao")
-        assert "soa" in str(err.value)  # did-you-mean hint
-
-    def test_cli_rejects_unknown_kernel(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            service_cli.main([
-                "serve", "--port", "0", "--kernel", "nunba",
-            ])
-        assert err.value.code == 2
-        assert "numba" in capsys.readouterr().err  # did-you-mean
-
-
 class TestCli:
     def test_direct_writes_canonical_records(self, tmp_path, capsys):
         out = tmp_path / "direct.json"

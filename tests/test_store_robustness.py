@@ -7,10 +7,13 @@ The robustness contract under test:
   exception;
 * concurrent writers and a concurrent compactor lose no manifest
   records (the shard locks close the PR-5 read/rewrite race);
-* ``compact()`` genuinely takes the same lock ``save()`` appends under.
+* ``compact()`` genuinely takes the same lock ``save()`` appends under;
+* processes writing the same key at once never trip over each other's
+  temporary files.
 """
 
 import json
+import multiprocessing
 import os
 import threading
 
@@ -21,6 +24,8 @@ from repro.errors import LockTimeoutError
 from repro.experiments.store import (
     NUM_MANIFEST_SHARDS,
     ArtifactStore,
+    _load_pickle,
+    _save_pickle,
     artifact_digest,
 )
 from repro.faults.campaign import SiteReport
@@ -39,6 +44,21 @@ def store(tmp_path):
 
 def _key(index, tag="soak"):
     return {"width": 4, "kind": "column", "tag": tag, "index": index}
+
+
+def _rewrite_same_keys(directory, rounds, num_keys, start, results):
+    """Worker: ``rounds`` pickle saves cycling over ``num_keys`` paths;
+    reports how many raised."""
+    start.wait()
+    failures = 0
+    for step in range(rounds):
+        index = step % num_keys
+        path = os.path.join(directory, "same-%d.pkl" % index)
+        try:
+            _save_pickle(path, _key(index), step)
+        except OSError:
+            failures += 1
+    results.put(failures)
 
 
 class TestConcurrencySoak:
@@ -90,6 +110,35 @@ class TestConcurrencySoak:
             digest = artifact_digest("netlist", _key(index))
             assert "netlist-%s.pkl" % digest[:32] in files
             assert store.load("netlist", _key(index)) is not None
+
+    def test_same_key_writers_across_processes(self, tmp_path):
+        """4 processes x 300 saves over 5 keys: every save succeeds and
+        every file holds one complete record (a shared ``path + .tmp``
+        made writers replace or lose each other's temporary files)."""
+        writers, rounds, num_keys = 4, 300, 5
+        ctx = multiprocessing.get_context("fork")
+        start = ctx.Event()
+        results = ctx.Queue()
+        procs = [
+            ctx.Process(
+                target=_rewrite_same_keys,
+                args=(str(tmp_path), rounds, num_keys, start, results),
+            )
+            for _ in range(writers)
+        ]
+        for proc in procs:
+            proc.start()
+        start.set()
+        failures = [results.get(timeout=60) for _ in procs]
+        for proc in procs:
+            proc.join(timeout=60)
+        assert failures == [0] * writers
+        for index in range(num_keys):
+            path = str(tmp_path / ("same-%d.pkl" % index))
+            assert _load_pickle(path, _key(index)) is not None
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            "same-%d.pkl" % index for index in range(num_keys)
+        )
 
     def test_record_saved_during_compact_survives(self, store, netlist4):
         """A save landing between compaction passes is never dropped."""
