@@ -220,8 +220,9 @@ class AgedCircuitFactory:
             stimulus = characterization_stimulus(
                 netlist.input_ports, num_patterns, seed
             )
-        result = circuit.run(stimulus, collect_net_stats=True)
-        return extract_stress(netlist, result.signal_prob)
+        return extract_stress(
+            netlist, circuit.signal_probabilities(stimulus)
+        )
 
     def use_plane_cache(self, cache: ValuePlaneCache) -> None:
         """Swap in a shared (e.g. store-backed, on-disk) plane cache."""

@@ -18,7 +18,7 @@ than its always-active mux spines.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -74,10 +74,14 @@ def extract_stress(
         )
     if np.any(probs < -1e-9) or np.any(probs > 1 + 1e-9):
         raise SimulationError("signal probabilities must lie in [0, 1]")
-    pmos = np.empty(len(cells))
-    nmos = np.empty(len(cells))
+    # One gather-and-mean per input arity: the axis-0 mean adds the pin
+    # rows in pin order and divides by the arity, the same float ops as
+    # a per-cell mean over the cell's input nets.
+    by_arity: Dict[int, List[int]] = {}
     for k, cell in enumerate(cells):
-        ones = float(np.mean([probs[net] for net in cell.inputs]))
-        pmos[k] = 1.0 - ones
-        nmos[k] = ones
-    return StressProfile(netlist.name, pmos, nmos)
+        by_arity.setdefault(len(cell.inputs), []).append(k)
+    nmos = np.empty(len(cells))
+    for members in by_arity.values():
+        pins = np.array([cells[k].inputs for k in members], dtype=np.intp)
+        nmos[members] = probs[pins.T].mean(axis=0)
+    return StressProfile(netlist.name, 1.0 - nmos, nmos)

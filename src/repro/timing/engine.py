@@ -452,6 +452,52 @@ class CompiledCircuit:
             first_chunk = False
         return _concatenate_results(pieces, self.num_nets)
 
+    def signal_probabilities(
+        self,
+        stimulus: Dict[str, Sequence[int]],
+        initial: Optional[Dict[str, int]] = None,
+    ) -> np.ndarray:
+        """Per-net P(net = 1) over a stream, from a values-only pass.
+
+        Byte-identical to ``run(stimulus, initial,
+        collect_net_stats=True).signal_prob`` -- averaged over the
+        simulated stream including the settling pattern, fault hooks
+        applied at the same global indices -- but evaluates only the
+        settled values: no change flags, arrivals, transition densities
+        or toggle fixups.  This is all BTI stress characterization
+        consumes (see :func:`repro.aging.stress.extract_stress`).
+        """
+        arrays = _prefix_settling(
+            self._check_stimulus(stimulus, initial), initial
+        )
+        fault_hooks = self.fault_hooks
+        plan = self.soa_value_plan()
+        n = next(iter(arrays.values())).shape[0]
+
+        V = np.zeros((self.num_nets, n), dtype=np.uint8)
+        V[CONST1] = 1
+        for net, cur in self._input_rows(arrays, -1):
+            V[net] = cur
+
+        for bucket_list, scalars in zip(plan.levels, plan.scalar_levels):
+            for bucket in bucket_list:
+                pins = bucket.pins
+                V[bucket.outputs] = logic.eval_vector(
+                    bucket.opcode, [V[pins[j]] for j in range(pins.shape[0])]
+                )
+            for compiled in scalars:
+                out_val = logic.eval_vector(
+                    compiled.opcode, [V[p] for p in compiled.inputs]
+                )
+                net = compiled.output
+                V[net] = np.asarray(
+                    fault_hooks[net](out_val, -1), dtype=np.uint8
+                )
+
+        # Integer row sums are exact, so one reduction over the value
+        # matrix equals the run's per-net ``sig_sum`` entries.
+        return V.sum(axis=1).astype(float) / n
+
     def _check_stimulus(
         self,
         stimulus: Dict[str, Sequence[int]],
@@ -507,6 +553,21 @@ class CompiledCircuit:
 
     # ------------------------------------------------------------------
 
+    def _input_rows(self, arrays: Dict[str, np.ndarray], start_index: int):
+        """Yield ``(net, bits)`` for every primary-input net: port words
+        expanded into per-net bit rows, input-port fault hooks applied
+        at global index ``start_index``."""
+        fault_hooks = self.fault_hooks
+        for name, port in self.netlist.input_ports.items():
+            bits = logic.unpack_bits(arrays[name], port.width)
+            for lane, net in enumerate(port.nets):
+                cur = bits[lane]
+                if net in fault_hooks:
+                    cur = np.asarray(
+                        fault_hooks[net](cur, start_index), dtype=np.uint8
+                    )
+                yield net, cur
+
     def _run_chunk(
         self,
         arrays: Dict[str, np.ndarray],
@@ -561,29 +622,21 @@ class CompiledCircuit:
             sig_sum[CONST1] = n
         new_held: Dict[int, int] = {}
 
-        # Primary inputs: expand port words into per-net bit rows.
-        for name, port in netlist.input_ports.items():
-            bits = logic.unpack_bits(arrays[name], port.width)
-            for lane, net in enumerate(port.nets):
-                cur = bits[lane]
-                if net in fault_hooks:
-                    cur = np.asarray(
-                        fault_hooks[net](cur, start_index), dtype=np.uint8
-                    )
-                flags = logic.changed_matrix(
-                    cur,
-                    None if carry_values is None else carry_values[net],
-                )
-                V[net] = cur
-                M[net] = flags
-                T[net] = flags
-                if recorder is not None:
-                    recorder.net_may(net, flags)
-                    if record_values:
-                        recorder.net_values(net, cur)
-                if collect_net_stats:
-                    sig_sum[net] = cur.sum()
-                    tog_sum[net] = flags.sum()
+        for net, cur in self._input_rows(arrays, start_index):
+            flags = logic.changed_matrix(
+                cur,
+                None if carry_values is None else carry_values[net],
+            )
+            V[net] = cur
+            M[net] = flags
+            T[net] = flags
+            if recorder is not None:
+                recorder.net_may(net, flags)
+                if record_values:
+                    recorder.net_values(net, cur)
+            if collect_net_stats:
+                sig_sum[net] = cur.sum()
+                tog_sum[net] = flags.sum()
 
         group_enable_net = netlist.group_enables
 

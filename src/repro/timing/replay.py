@@ -373,11 +373,13 @@ class ArrivalReplay:
                 name: np.zeros((port.width, k, n))
                 for name, port in ports.items()
             }
-        arr = np.zeros((num_nets, min(chunk, n), k))
+        buf = np.zeros(num_nets * min(chunk, n) * k)
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
             c = stop - start
-            sub = arr[:, :c, :]
+            # A C-contiguous (num_nets, c, k) window over the front of
+            # the buffer, so a ragged last chunk still flattens in place.
+            sub = buf[:num_nets * c * k].reshape(num_nets, c, k)
             if start:
                 sub[...] = 0.0  # quiet entries / input rails stay 0
             replay_buckets(plan, self.plane, scales, sub, start, stop)
@@ -409,21 +411,26 @@ class ArrivalReplay:
 def replay_buckets(plan, plane, scales, out, start, stop) -> None:
     """Bucketed sparse arrival replay of patterns ``[start, stop)``.
 
-    ``out`` is a pre-zeroed ``(num_nets, stop - start, k)`` window;
-    ``start`` must be a multiple of 8 (the plane unpacks byte-aligned).
-    Every (level, opcode) bucket of ``plan`` prices all ``k`` rows of
-    ``scales`` at once, touching only *active* entries: a bucket's
-    ``(B, c)`` may-mask indexes (cell, pattern) entries directly,
-    arrivals are computed as a flat ``(nnz, k)`` workspace over the
-    entries whose output may change and scattered into ``out``.
-    Inactive entries are exactly the ``where(may, .., 0.0)`` zeros of
+    ``out`` is a pre-zeroed, C-contiguous ``(num_nets, stop - start,
+    k)`` window; ``start`` must be a multiple of 8 (the plane unpacks
+    byte-aligned).  Every (level, opcode) bucket of ``plan`` prices all
+    ``k`` rows of ``scales`` at once, touching only *active* entries:
+    the flat indices of a bucket's ``(B, c)`` may-mask select (cell,
+    pattern) entries, arrivals are computed as a flat ``(nnz, k)``
+    workspace over the entries whose output may change, and every
+    gather and scatter is a 1-D ``take`` / assignment on the
+    ``(num_nets * c, k)`` view of ``out``.  Inactive entries are
+    exactly the ``where(may, .., 0.0)`` zeros of
     :func:`repro.timing.logic.arrival_masks`, so the result stays
     bit-identical while arithmetic and memory traffic scale with the
     active fraction (~1/3 on a bypass multiplier under uniform
     operands, since bypassed columns sit quiet).  Rows of quiet
     entries, primary inputs and constant rails stay 0.0.
     """
-    c = stop - start
+    if not out.flags.c_contiguous:
+        raise SimulationError("replay window must be C-contiguous")
+    num_nets, c, k = out.shape
+    flat = out.reshape(num_nets * c, k)
     byte0 = start // 8
     byte1 = (stop + 7) // 8
     for bucket_list in plan.levels:
@@ -433,9 +440,10 @@ def replay_buckets(plan, plane, scales, out, start, stop) -> None:
             may = np.unpackbits(
                 plane.may_packed[outs, byte0:byte1], axis=1, count=c
             ).view(bool)
-            rows, cols = np.nonzero(may)
-            if not rows.size:
+            idx = np.flatnonzero(may)
+            if not idx.size:
                 continue
+            rows, cols = np.divmod(idx, c)
             count = _aux_count(bucket.opcode, pins.shape[0])
             if count:
                 aux_rows = plane.aux_offsets[bucket.positions]
@@ -444,20 +452,23 @@ def replay_buckets(plan, plane, scales, out, start, stop) -> None:
                         plane.aux_packed[aux_rows + lane, byte0:byte1],
                         axis=1,
                         count=c,
-                    ).view(bool)[rows, cols]
+                    ).view(bool).ravel()[idx]
                     for lane in range(count)
                 )
             else:
                 aux = ()
-            arrs = [out[pins[j][rows], cols] for j in range(pins.shape[0])]
+            arrs = [
+                flat.take(pins[j].take(rows) * c + cols, axis=0)
+                for j in range(pins.shape[0])
+            ]
             # fresh_delay_ns * scale per (cell, corner), exactly the
             # engine's per-cell delay at every corner.
             delay = (
                 bucket.fresh_delays[:, None]
                 * scales[:, bucket.cell_indices].T
             )
-            out[outs[rows], cols] = _active_arrival(
-                bucket.opcode, aux, arrs, delay[rows]
+            flat[outs.take(rows) * c + cols] = _active_arrival(
+                bucket.opcode, aux, arrs, delay.take(rows, axis=0)
             )
 
 

@@ -89,6 +89,18 @@ class TestStressExtraction:
         assert np.allclose(profile.pmos_stress + profile.nmos_stress, 1.0)
         assert 0.0 <= profile.mean_pmos() <= 1.0
 
+    @pytest.mark.parametrize("name", ["am4", "cb4", "rb4", "cb16"])
+    def test_matches_per_cell_mean(self, request, name):
+        netlist = request.getfixturevalue(name)
+        probs = np.random.default_rng(3).uniform(size=netlist.num_nets)
+        profile = extract_stress(netlist, probs)
+        ones = np.array([
+            float(np.mean([probs[net] for net in cell.inputs]))
+            for cell in netlist.cells
+        ])
+        assert profile.nmos_stress.tobytes() == ones.tobytes()
+        assert profile.pmos_stress.tobytes() == (1.0 - ones).tobytes()
+
     def test_short_prob_vector_rejected(self, cb4):
         with pytest.raises(SimulationError):
             extract_stress(cb4, np.zeros(3))

@@ -12,7 +12,9 @@ masking discipline) and checks the engine-agreement invariants:
 * a dump/parse round trip simulates identically;
 * the bucketed engine and the per-cell reference interpreter
   (:mod:`repro.timing.reference`) are bit-identical on values, delays
-  and bit arrivals, with and without folding and fault hooks.
+  and bit arrivals, with and without folding and fault hooks;
+* the values-only signal-probability pass equals the full run's and
+  the reference's ``signal_prob`` byte for byte.
 """
 
 import numpy as np
@@ -154,6 +156,31 @@ def test_kernels_bit_identical_with_fault_hooks(case, pick, seu):
     assert np.array_equal(got.outputs["o"], want.outputs["o"])
     assert np.array_equal(got.delays, want.delays)
     assert np.array_equal(got.bit_arrivals["o"], want.bit_arrivals["o"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_netlists(), st.integers(0, 10**9),
+       st.sampled_from(["none", "input", "internal"]), st.booleans())
+def test_signal_probabilities_bit_identical(case, pick, hook, initial):
+    nl, stimulus = case
+    if hook == "none":
+        circuit = CompiledCircuit(nl)
+    else:
+        if hook == "input":
+            nets = nl.input_ports["x"].nets
+            target = nets[pick % len(nets)]
+        else:
+            target = nl.cells[pick % len(nl.cells)].output
+        circuit = compile_with_faults(
+            nl, [TransientBitFlip(net=target, rate=0.3, seed=pick % 97)]
+        )
+    start = {"x": int(stimulus[-1])} if initial else None
+    stim = {"x": stimulus}
+    got = circuit.signal_probabilities(stim, initial=start)
+    run = circuit.run(stim, initial=start, collect_net_stats=True)
+    ref = reference_run(circuit, stim, initial=start, collect_net_stats=True)
+    assert got.tobytes() == run.signal_prob.tobytes()
+    assert got.tobytes() == ref.signal_prob.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,7 +14,11 @@ stays exact, which the folding and chunking tests assert.
 import numpy as np
 import pytest
 
-from repro.aging.degradation import AgedCircuitFactory
+from repro.aging import extract_stress
+from repro.aging.degradation import (
+    AgedCircuitFactory,
+    characterization_stimulus,
+)
 from repro.arith import column_bypass_multiplier
 from repro.core.architecture import AgingAwareMultiplier
 from repro.errors import SimulationError
@@ -163,6 +167,55 @@ class TestFaultKernelEquivalence:
         assert a.report == b.report
 
 
+class TestSignalProbabilities:
+    """The values-only pass behind stress characterization must give
+    the run's ``signal_prob`` byte for byte."""
+
+    def check(self, circuit, stim, initial=None):
+        got = circuit.signal_probabilities(stim, initial=initial)
+        run = circuit.run(stim, initial=initial, collect_net_stats=True)
+        ref = reference_run(
+            circuit, stim, initial=initial, collect_net_stats=True
+        )
+        assert got.dtype == run.signal_prob.dtype
+        assert got.tobytes() == run.signal_prob.tobytes()
+        assert got.tobytes() == ref.signal_prob.tobytes()
+
+    @pytest.mark.parametrize("name", ["am4", "cb4", "rb4", "cb8"])
+    @pytest.mark.parametrize("with_initial", [False, True])
+    def test_matches_run_and_reference(self, request, name, with_initial):
+        netlist = request.getfixturevalue(name)
+        width = netlist.input_ports["md"].width
+        md, mr = uniform_operands(width, 300, seed=23)
+        initial = {"md": 0, "mr": (1 << width) - 1} if with_initial else None
+        self.check(CompiledCircuit(netlist), {"md": md, "mr": mr}, initial)
+
+    @pytest.mark.parametrize("with_initial", [False, True])
+    def test_with_input_and_internal_hooks(self, cb8, stream8, with_initial):
+        faults = [
+            StuckAtFault(net=cb8.input_ports["md"].nets[2], value=1),
+            TransientBitFlip(net=cb8.input_ports["mr"].nets[5],
+                             rate=0.2, seed=4),
+            StuckAtFault(net=cb8.cells[21].output, value=0),
+            TransientBitFlip(net=cb8.cells[40].output, rate=0.1, seed=2),
+        ]
+        circuit = compile_with_faults(cb8, faults)
+        assert circuit.soa_value_plan().num_scalar == 2
+        initial = {"md": 255, "mr": 3} if with_initial else None
+        self.check(circuit, stream8, initial)
+
+    def test_characterize_stress_matches_full_run(self, cb8):
+        stim = characterization_stimulus(cb8.input_ports, 400, seed=7)
+        want = extract_stress(
+            cb8,
+            CompiledCircuit(cb8).run(stim, collect_net_stats=True)
+            .signal_prob,
+        )
+        got = AgedCircuitFactory.characterize_stress(cb8, stimulus=stim)
+        assert got.pmos_stress.tobytes() == want.pmos_stress.tobytes()
+        assert got.nmos_stress.tobytes() == want.nmos_stress.tobytes()
+
+
 class TestFolding:
     def test_fold_plan_round_trip(self, foldable8):
         plan = fold_stimulus(foldable8)
@@ -275,6 +328,64 @@ class TestReplayKernels:
             for name in whole.bit_arrivals:
                 assert np.array_equal(whole.bit_arrivals[name],
                                       got.bit_arrivals[name])
+
+    def test_ragged_last_chunk_exact(self, cb8, monkeypatch):
+        # 603 patterns in chunks of 8 leave a 3-pattern last chunk,
+        # whose window must still be replayed in place.
+        md, mr = uniform_operands(8, 603, seed=17)
+        stim = {"md": md, "mr": mr}
+        circuit = CompiledCircuit(cb8)
+        plane = build_value_plane(circuit, stim)
+        scales = self.scales_for(circuit, 3)
+        whole = ArrivalReplay(circuit, plane).replay(
+            scales, collect_bit_arrivals=True
+        )
+        monkeypatch.setattr(
+            replay_mod, "REPLAY_CHUNK_TARGET_BYTES", 1
+        )
+        assert plane.num_patterns % replay_mod._replay_chunk_size(
+            plane.num_nets, 3
+        ) == 3
+        chunked = ArrivalReplay(circuit, plane).replay(
+            scales, collect_bit_arrivals=True
+        )
+        base = DeltaBase(circuit, stim, scales).result(
+            collect_bit_arrivals=True
+        )
+        ref = reference_replay(
+            circuit, plane, scales, collect_bit_arrivals=True
+        )
+        for got in (chunked, base, ref):
+            assert np.array_equal(whole.delays, got.delays)
+            for name in whole.bit_arrivals:
+                assert np.array_equal(whole.bit_arrivals[name],
+                                      got.bit_arrivals[name])
+
+    def test_zero_corner_replay(self, cb8, stream8):
+        circuit = CompiledCircuit(cb8)
+        plane = build_value_plane(circuit, stream8)
+        empty = np.empty((0, len(cb8.cells)))
+        result = ArrivalReplay(circuit, plane).replay(
+            empty, collect_bit_arrivals=True
+        )
+        assert result.delays.shape == (0, plane.num_patterns)
+        assert result.num_corners == 0
+        for name, port in cb8.output_ports.items():
+            assert result.bit_arrivals[name].shape == (
+                port.width, 0, plane.num_patterns
+            )
+
+    def test_non_contiguous_window_rejected(self, cb8, stream8):
+        # The loop writes through a flat view of the window; a strided
+        # window would flatten to a copy and silently drop every write.
+        circuit = CompiledCircuit(cb8)
+        plane = build_value_plane(circuit, stream8)
+        scales = self.scales_for(circuit, 2)
+        window = np.zeros((circuit.num_nets, 16, 2))[:, :8, :]
+        with pytest.raises(SimulationError, match="contiguous"):
+            replay_mod.replay_buckets(
+                circuit.soa_replay_plan(), plane, scales, window, 0, 8
+            )
 
     def test_replay_chunk_size_properties(self):
         assert replay_mod._replay_chunk_size(1, 1) % 8 == 0

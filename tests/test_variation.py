@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import AgingAwareMultiplier
 from repro.errors import ConfigError
+from repro.montecarlo.spec import MonteCarloSpec
 from repro.timing.variation import (
     ProcessVariation,
     YieldReport,
@@ -57,11 +58,33 @@ class TestSampling:
             list(sample_dies(cb4, ProcessVariation(), 0))
 
 
+def mc_spec(arch, variation=None, **fields):
+    """A :class:`MonteCarloSpec` whose Vth sigma split maps back onto
+    ``variation`` (default: ``ProcessVariation()``) through
+    :meth:`ProcessVariation.from_spec` -- the global sigma carries the
+    inter-die part, the per-cell random sigma the local part."""
+    variation = variation or ProcessVariation()
+    tech = arch.technology
+    slope = tech.alpha_sat / (
+        0.5 * (tech.gate_overdrive_p + tech.gate_overdrive_n)
+    )
+    spec = MonteCarloSpec.from_overrides(
+        sigma_global_v=variation.sigma_global / slope,
+        sigma_spatial_v=0.0,
+        sigma_random_v=variation.sigma_local / slope,
+        **fields,
+    )
+    mapped = ProcessVariation.from_spec(spec, tech)
+    assert mapped.sigma_global == pytest.approx(variation.sigma_global)
+    assert mapped.sigma_local == pytest.approx(variation.sigma_local)
+    return spec
+
+
 class TestYieldAnalysis:
     @pytest.fixture(scope="class")
     def report(self, arch):
         return yield_analysis(
-            arch, num_dies=10, num_patterns=600, seed=13
+            arch, mc_spec(arch, num_dies=10, num_patterns=600, seed=13)
         )
 
     def test_report_shape(self, report):
@@ -77,17 +100,23 @@ class TestYieldAnalysis:
     def test_variation_spreads_latency(self, arch):
         calm = yield_analysis(
             arch,
-            num_dies=8,
-            num_patterns=400,
-            variation=ProcessVariation(0.0, 0.0),
-            seed=17,
+            mc_spec(
+                arch,
+                ProcessVariation(0.0, 0.0),
+                num_dies=8,
+                num_patterns=400,
+                seed=17,
+            ),
         )
         wild = yield_analysis(
             arch,
-            num_dies=8,
-            num_patterns=400,
-            variation=ProcessVariation(0.15, 0.05),
-            seed=17,
+            mc_spec(
+                arch,
+                ProcessVariation(0.15, 0.05),
+                num_dies=8,
+                num_patterns=400,
+                seed=17,
+            ),
         )
         assert calm.latency_spread <= 1e-9
         assert wild.latency_spread > calm.latency_spread
@@ -99,16 +128,18 @@ class TestYieldAnalysis:
         (2-sigma global of 0.15 ~ 35% die-to-die)."""
         wild = yield_analysis(
             arch,
-            num_dies=12,
-            num_patterns=500,
-            variation=ProcessVariation(0.15, 0.0),
-            seed=19,
+            mc_spec(
+                arch,
+                ProcessVariation(0.15, 0.0),
+                num_dies=12,
+                num_patterns=500,
+                seed=19,
+            ),
         )
         assert wild.latency_spread < 0.35
 
     def test_aged_dies_slower(self, arch):
-        fresh = yield_analysis(arch, num_dies=6, num_patterns=400, seed=23)
-        aged = yield_analysis(
-            arch, num_dies=6, num_patterns=400, seed=23, years=7.0
-        )
+        spec = mc_spec(arch, num_dies=6, num_patterns=400, seed=23)
+        fresh = yield_analysis(arch, spec)
+        aged = yield_analysis(arch, spec, years=7.0)
         assert aged.mean_latency_ns >= fresh.mean_latency_ns
