@@ -16,19 +16,27 @@ while uniform-random streams do not and lean on the sparse replay
 instead.  Pass ``--cprofile`` for a function-level cProfile of the
 hot phases on top of the wall-clock split.
 
+It also prints the replay window -- the rows the liveness schedule
+keeps against the circuit's net count, and the MB one pattern chunk
+takes -- and the process peak RSS.
+
 Run:  python examples/profile_engine.py --width 16 --workload fir
       python examples/profile_engine.py --workload uniform --no-fold
       python examples/profile_engine.py --cprofile
+      python examples/profile_engine.py --width 8 --patterns 800 --timesteps 4
 """
 
 import argparse
 import cProfile
 import pstats
+import resource
+import sys
 import time
 
 from repro.aging.degradation import AgedCircuitFactory
 from repro.arith import column_bypass_multiplier
 from repro.timing import ArrivalReplay, CompiledCircuit, build_value_plane
+from repro.timing import replay as replay_mod
 from repro.timing.fold import fold_stimulus, unfold_stream
 from repro.workloads import sparse_fir_stream, uniform_operands
 
@@ -142,6 +150,24 @@ def main():
         float(streams[j].delays.max()) for j in range(len(years))
     )
     print("worst-case path over the sweep: %.3f ns" % worst)
+
+    schedule = circuit.replay_schedule()
+    chunk = min(
+        replay_mod._replay_chunk_size(circuit.num_nets, args.timesteps),
+        plane.num_patterns,
+    )
+    row_mb = chunk * args.timesteps * 8 / 2.0 ** 20
+    print(
+        "replay window: %d rows for %d nets (%.1f%%), %.1f MB per "
+        "chunk of %d patterns (%.1f MB at one row per net)"
+        % (schedule.num_rows, circuit.num_nets,
+           100.0 * schedule.num_rows / circuit.num_nets,
+           schedule.num_rows * row_mb, chunk, circuit.num_nets * row_mb)
+    )
+    # ru_maxrss is KiB on Linux, bytes on macOS.
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak /= 2.0 ** 20 if sys.platform == "darwin" else 2.0 ** 10
+    print("peak RSS: %.1f MB" % peak)
 
     if args.cprofile:
         print()

@@ -55,7 +55,7 @@ from . import logic
 from .engine import CompiledCircuit, _CompiledCell
 from .replay import ArrivalReplay, ValuePlane, _PlaneRecorder
 from .replay import build_value_plane, replay_buckets
-from .soa import LevelBucket, SoAPlan
+from .soa import LevelBucket, SoAPlan, identity_schedule
 from .value_cache import netlist_fingerprint
 
 __all__ = [
@@ -381,6 +381,7 @@ def patch_compiled(
     )
     patched._soa_value_plan = plan
     patched._soa_replay_plan = plan
+    patched._replay_schedule = None
     patched.delta_lineage = getattr(
         parent_circuit, "delta_lineage", ()
     ) + (delta.fingerprint(),)
@@ -402,6 +403,15 @@ class DeltaPlane(ValuePlane):
     recorded (:meth:`value` special-cases them)."""
 
     val_packed: Optional[np.ndarray] = None
+
+    @property
+    def nbytes(self) -> int:
+        """Approximate footprint: the packed planes plus the value
+        capture."""
+        total = super().nbytes
+        if self.val_packed is not None:
+            total += self.val_packed.nbytes
+        return total
 
     def value(self, net: int) -> np.ndarray:
         """Unpacked settled-value stream (uint8 0/1) for one net."""
@@ -627,14 +637,16 @@ class DeltaBase:
         )
         self.num_patterns = self.plane.num_patterns
         # Dense (num_nets, n, k) arrivals of *every* net, one window
-        # [0, n): quiet entries, PIs and rails stay 0.0, so a cone
-        # replay gathers any boundary net with no special-casing.
+        # [0, n) under the identity schedule (row = net, no reuse):
+        # quiet entries, PIs and rails stay 0.0, so a cone replay
+        # gathers any boundary net with no special-casing.
         self.arrivals = np.zeros(
             (circuit.num_nets, self.num_patterns, scales.shape[0])
         )
+        plan = circuit.soa_replay_plan()
         replay_buckets(
-            circuit.soa_replay_plan(), self.plane, scales,
-            self.arrivals, 0, self.num_patterns,
+            plan, identity_schedule(plan, circuit.num_nets), self.plane,
+            scales, self.arrivals, 0, self.num_patterns,
         )
         self.num_cells = num_cells
         self.num_nets = circuit.num_nets

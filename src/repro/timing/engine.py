@@ -43,7 +43,7 @@ from ..config import DEFAULT_TECHNOLOGY, Technology
 from ..errors import FaultError, SimulationError
 from ..nets.netlist import CONST0, CONST1, Netlist
 from . import logic
-from .soa import build_soa_plan
+from .soa import build_replay_schedule, build_soa_plan
 
 #: A value-fault hook: maps a net's per-pattern bit stream to the faulted
 #: stream.  ``start_index`` is the *global* index of the first element
@@ -218,6 +218,7 @@ class CompiledCircuit:
         self._cell_delays: Optional[np.ndarray] = None
         self._soa_value_plan = None
         self._soa_replay_plan = None
+        self._replay_schedule = None
 
     # ------------------------------------------------------------------
     # Logic-cone reachability
@@ -334,6 +335,17 @@ class CompiledCircuit:
                     self._cells, self.netlist, frozenset()
                 )
         return self._soa_replay_plan
+
+    def replay_schedule(self):
+        """The liveness-allocated window rows of
+        :meth:`soa_replay_plan` (a
+        :class:`~repro.timing.soa.ReplaySchedule`, built lazily,
+        cached): arrival replay keeps one row per *live* net."""
+        if self._replay_schedule is None:
+            self._replay_schedule = build_replay_schedule(
+                self.soa_replay_plan(), self.netlist
+            )
+        return self._replay_schedule
 
     # ------------------------------------------------------------------
 

@@ -23,7 +23,10 @@ aging timestep and variation corner.  This module exploits that split:
 
 Both :class:`ArrivalReplay` and the cone-delta base
 (:class:`repro.timing.delta.DeltaBase`) run the same bucketed loop,
-:func:`replay_buckets`, each over its own pattern windows.
+:func:`replay_buckets`, each over its own pattern windows and window
+rows: ``ArrivalReplay`` keeps one row per *live* net (the circuit's
+:meth:`~repro.timing.engine.CompiledCircuit.replay_schedule`), the delta
+base one row per net.
 
 Bit-identity contract: for any scale vector ``s``,
 ``ArrivalReplay(circuit, plane).replay(s)`` reproduces
@@ -56,14 +59,23 @@ def _aux_count(opcode: int, num_inputs: int) -> int:
     return 0
 
 
-#: Peak-memory target for the SoA replay's dense ``(num_nets, k, c)``
-#: per-chunk arrival matrix.
+#: Memory target that sizes the replay chunk *length*: the length at
+#: which a ``(num_nets, c, k)`` window, one row per net, would fill it.
+#: The window actually allocated has one row per *live* net
+#: (:class:`~repro.timing.soa.ReplaySchedule`), so it takes only
+#: ``num_rows / num_nets`` of this target (12-22% on the multipliers).
 REPLAY_CHUNK_TARGET_BYTES = 128 * 1024 * 1024
 
 
 def _replay_chunk_size(num_nets: int, k: int) -> int:
     """Patterns per replay chunk: a multiple of 8 (byte-aligned plane
-    unpacking), at least 8, sized to the replay memory target."""
+    unpacking), at least 8, sized so a window of ``num_nets`` rows
+    would fill :data:`REPLAY_CHUNK_TARGET_BYTES`.
+
+    The length is sized from the net count, not from the schedule's
+    (smaller) row count, on purpose: longer chunks over the live-row
+    window measured slower for wide corner batches (k = 600), so the
+    liveness schedule only shrinks the window's rows."""
     per_pattern = max(1, num_nets) * max(1, k) * 8
     chunk = REPLAY_CHUNK_TARGET_BYTES // per_pattern
     return max(8, chunk - chunk % 8)
@@ -356,35 +368,44 @@ class ArrivalReplay:
 
         The pattern axis is chunked (multiples of 8, so the bit-packed
         plane unpacks byte-aligned) to bound the dense
-        ``(num_nets, c, k)`` arrival matrix; replay carries no
-        cross-pattern state, so chunking is exact.
+        ``(num_rows, c, k)`` arrival window; replay carries no
+        cross-pattern state, so chunking is exact.  The window has one
+        row per live net (the circuit's cached
+        :meth:`~CompiledCircuit.replay_schedule`); output-port rows are
+        never reused, so they are read once the chunk is done.
         """
         circuit = self.circuit
         plan = circuit.soa_replay_plan()
+        schedule = circuit.replay_schedule()
         k = scales.shape[0]
         n = self.plane.num_patterns
-        num_nets = circuit.num_nets
-        chunk = _replay_chunk_size(num_nets, k)
+        num_rows = schedule.num_rows
+        chunk = _replay_chunk_size(circuit.num_nets, k)
         delays = np.zeros((k, n))
-        ports = circuit.netlist.output_ports
+        port_rows = {
+            name: schedule.row_of_net[list(port.nets)]
+            for name, port in circuit.netlist.output_ports.items()
+        }
         bit_arrivals: Optional[Dict[str, np.ndarray]] = None
         if collect_bit_arrivals:
             bit_arrivals = {
-                name: np.zeros((port.width, k, n))
-                for name, port in ports.items()
+                name: np.zeros((rows.shape[0], k, n))
+                for name, rows in port_rows.items()
             }
-        buf = np.zeros(num_nets * min(chunk, n) * k)
+        buf = np.zeros(num_rows * min(chunk, n) * k)
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
             c = stop - start
-            # A C-contiguous (num_nets, c, k) window over the front of
+            # A C-contiguous (num_rows, c, k) window over the front of
             # the buffer, so a ragged last chunk still flattens in place.
-            sub = buf[:num_nets * c * k].reshape(num_nets, c, k)
+            sub = buf[:num_rows * c * k].reshape(num_rows, c, k)
             if start:
-                sub[...] = 0.0  # quiet entries / input rails stay 0
-            replay_buckets(plan, self.plane, scales, sub, start, stop)
-            for name, port in ports.items():
-                port_arr = sub[list(port.nets)]
+                sub[...] = 0.0  # quiet entries / the zero row stay 0
+            replay_buckets(
+                plan, schedule, self.plane, scales, sub, start, stop
+            )
+            for name, rows in port_rows.items():
+                port_arr = sub[rows]
                 if collect_bit_arrivals:
                     bit_arrivals[name][:, :, start:stop] = (
                         port_arr.transpose(0, 2, 1)
@@ -408,19 +429,29 @@ class ArrivalReplay:
         ).stream_result(0)
 
 
-def replay_buckets(plan, plane, scales, out, start, stop) -> None:
+def replay_buckets(plan, schedule, plane, scales, out, start,
+                   stop) -> None:
     """Bucketed sparse arrival replay of patterns ``[start, stop)``.
 
-    ``out`` is a pre-zeroed, C-contiguous ``(num_nets, stop - start,
-    k)`` window; ``start`` must be a multiple of 8 (the plane unpacks
-    byte-aligned).  Every (level, opcode) bucket of ``plan`` prices all
-    ``k`` rows of ``scales`` at once, touching only *active* entries:
-    the flat indices of a bucket's ``(B, c)`` may-mask select (cell,
-    pattern) entries, arrivals are computed as a flat ``(nnz, k)``
-    workspace over the entries whose output may change, and every
-    gather and scatter is a 1-D ``take`` / assignment on the
-    ``(num_nets * c, k)`` view of ``out``.  Inactive entries are
-    exactly the ``where(may, .., 0.0)`` zeros of
+    ``out`` is a pre-zeroed, C-contiguous ``(schedule.num_rows, stop -
+    start, k)`` window; ``start`` must be a multiple of 8 (the plane
+    unpacks byte-aligned).  ``schedule``
+    (:class:`~repro.timing.soa.ReplaySchedule`) maps nets to window
+    rows: masks are read by *net* and ``scales`` by *cell index*, while
+    every gather and scatter goes through the schedule's *rows*, and
+    each level first zeroes the rows it reuses.  The liveness schedule
+    (:meth:`CompiledCircuit.replay_schedule`) keeps only live nets; the
+    identity schedule (:func:`~repro.timing.soa.identity_schedule`)
+    keeps every net's row.
+
+    Every (level, opcode) bucket of ``plan`` prices all ``k`` rows of
+    ``scales`` at once, touching only *active* entries: the flat
+    indices of a bucket's ``(B, c)`` may-mask select (cell, pattern)
+    entries, arrivals are computed as a flat ``(nnz, k)`` workspace
+    over the entries whose output may change, and every gather and
+    scatter is a 1-D ``take`` / assignment on the ``(num_rows * c, k)``
+    view of ``out``.  Inactive entries are exactly the
+    ``where(may, .., 0.0)`` zeros of
     :func:`repro.timing.logic.arrival_masks`, so the result stays
     bit-identical while arithmetic and memory traffic scale with the
     active fraction (~1/3 on a bypass multiplier under uniform
@@ -429,22 +460,34 @@ def replay_buckets(plan, plane, scales, out, start, stop) -> None:
     """
     if not out.flags.c_contiguous:
         raise SimulationError("replay window must be C-contiguous")
-    num_nets, c, k = out.shape
-    flat = out.reshape(num_nets * c, k)
+    num_rows, c, k = out.shape
+    if num_rows != schedule.num_rows:
+        raise SimulationError(
+            "replay window has %d rows, schedule needs %d"
+            % (num_rows, schedule.num_rows)
+        )
+    flat = out.reshape(num_rows * c, k)
     byte0 = start // 8
     byte1 = (stop + 7) // 8
-    for bucket_list in plan.levels:
-        for bucket in bucket_list:
-            outs = bucket.outputs
-            pins = bucket.pins
+    for bucket_list, level_pins, level_outs, clear in zip(
+        plan.levels, schedule.pin_rows, schedule.out_rows,
+        schedule.clear_rows,
+    ):
+        if clear.size:
+            out[clear] = 0.0
+        for bucket, pin_rows, out_rows in zip(
+            bucket_list, level_pins, level_outs
+        ):
             may = np.unpackbits(
-                plane.may_packed[outs, byte0:byte1], axis=1, count=c
+                plane.may_packed[bucket.outputs, byte0:byte1],
+                axis=1,
+                count=c,
             ).view(bool)
             idx = np.flatnonzero(may)
             if not idx.size:
                 continue
-            rows, cols = np.divmod(idx, c)
-            count = _aux_count(bucket.opcode, pins.shape[0])
+            members, cols = np.divmod(idx, c)
+            count = _aux_count(bucket.opcode, pin_rows.shape[0])
             if count:
                 aux_rows = plane.aux_offsets[bucket.positions]
                 aux = tuple(
@@ -458,8 +501,8 @@ def replay_buckets(plan, plane, scales, out, start, stop) -> None:
             else:
                 aux = ()
             arrs = [
-                flat.take(pins[j].take(rows) * c + cols, axis=0)
-                for j in range(pins.shape[0])
+                flat.take(pin_rows[j].take(members) * c + cols, axis=0)
+                for j in range(pin_rows.shape[0])
             ]
             # fresh_delay_ns * scale per (cell, corner), exactly the
             # engine's per-cell delay at every corner.
@@ -467,8 +510,8 @@ def replay_buckets(plan, plane, scales, out, start, stop) -> None:
                 bucket.fresh_delays[:, None]
                 * scales[:, bucket.cell_indices].T
             )
-            flat[outs.take(rows) * c + cols] = _active_arrival(
-                bucket.opcode, aux, arrs, delay.take(rows, axis=0)
+            flat[out_rows.take(members) * c + cols] = _active_arrival(
+                bucket.opcode, aux, arrs, delay.take(members, axis=0)
             )
 
 

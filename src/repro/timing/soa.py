@@ -43,11 +43,19 @@ association; everything per-net/per-pattern is bit-identical.)
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = ["LevelBucket", "SoAPlan", "build_soa_plan"]
+__all__ = [
+    "LevelBucket",
+    "ReplaySchedule",
+    "SoAPlan",
+    "build_replay_schedule",
+    "build_soa_plan",
+    "identity_schedule",
+]
 
 
 @dataclasses.dataclass
@@ -181,4 +189,112 @@ def build_soa_plan(cells, netlist, hooked_nets) -> SoAPlan:
         num_levels=num_levels,
         num_bucketed=len(cells) - num_scalar,
         num_scalar=num_scalar,
+    )
+
+
+@dataclasses.dataclass
+class ReplaySchedule:
+    """Row layout of an arrival-replay window for one :class:`SoAPlan`.
+
+    A replay window stacks ``(c, k)`` arrival slabs, one per *row*; a
+    row holds one net's arrivals while that net is live.
+    :func:`repro.timing.replay.replay_buckets` gathers and scatters
+    through these row indices while reading masks by net.
+
+    Attributes:
+        pin_rows: ``pin_rows[d][b]`` is the ``(num_pins, B)`` window-row
+            matrix of bucket ``b`` of level ``d`` (mirrors its
+            ``pins``).
+        out_rows: ``out_rows[d][b]`` the ``(B,)`` rows its outputs are
+            scattered to.
+        clear_rows: ``clear_rows[d]`` the rows level ``d`` reuses; they
+            are zeroed before the level runs so its sparse scatter lands
+            on quiet zeros.
+        row_of_net: ``(num_nets,)`` window row of every net.
+        num_rows: Rows a window must have.
+    """
+
+    pin_rows: List[List[np.ndarray]]
+    out_rows: List[List[np.ndarray]]
+    clear_rows: List[np.ndarray]
+    row_of_net: np.ndarray
+    num_rows: int
+
+
+def build_replay_schedule(plan: SoAPlan, netlist) -> ReplaySchedule:
+    """Allocate one window row per *live* net, reusing rows level by
+    level the way a register allocator reuses registers.
+
+    * Row 0 is a shared zero row that is never written: primary inputs,
+      both rails and any net no bucket drives read from it.
+    * Output-port nets keep their row for the whole replay.
+    * Every other net frees its row after the level of its last read
+      (after its own level if nothing reads it); a freed row is handed
+      out again no earlier than the next level, lowest row first, and
+      listed in that level's ``clear_rows``.
+
+    Liveness comes from the plan's own levels, so patched plans (whose
+    cells keep their parent level) schedule correctly too.
+    """
+    num_nets = netlist.num_nets
+    num_levels = len(plan.levels)
+    free_level = np.full(num_nets, -1, dtype=np.intp)
+    for level, buckets in enumerate(plan.levels):
+        for bucket in buckets:
+            free_level[bucket.outputs] = level
+            free_level[bucket.pins.ravel()] = level
+    for port in netlist.output_ports.values():
+        free_level[list(port.nets)] = num_levels
+
+    free_level = free_level.tolist()
+    row_of_net = np.zeros(num_nets, dtype=np.intp)
+    freed_after: List[List[int]] = [[] for _ in range(num_levels)]
+    free: List[int] = []
+    num_rows = 1
+    clear_rows: List[np.ndarray] = []
+    for level, buckets in enumerate(plan.levels):
+        if level:
+            for row in freed_after[level - 1]:
+                heapq.heappush(free, row)
+        reused = []
+        for bucket in buckets:
+            for net in bucket.outputs.tolist():
+                if free:
+                    row = heapq.heappop(free)
+                    reused.append(row)
+                else:
+                    row = num_rows
+                    num_rows += 1
+                row_of_net[net] = row
+                if free_level[net] < num_levels:
+                    freed_after[free_level[net]].append(row)
+        clear_rows.append(np.array(reused, dtype=np.intp))
+
+    return ReplaySchedule(
+        pin_rows=[
+            [row_of_net[bucket.pins] for bucket in buckets]
+            for buckets in plan.levels
+        ],
+        out_rows=[
+            [row_of_net[bucket.outputs] for bucket in buckets]
+            for buckets in plan.levels
+        ],
+        clear_rows=clear_rows,
+        row_of_net=row_of_net,
+        num_rows=num_rows,
+    )
+
+
+def identity_schedule(plan: SoAPlan, num_nets: int) -> ReplaySchedule:
+    """The schedule with row = net and no reuse: the window keeps every
+    net's arrivals, as a caller that later reads arbitrary nets needs."""
+    empty = np.zeros(0, dtype=np.intp)
+    return ReplaySchedule(
+        pin_rows=[[bucket.pins for bucket in buckets]
+                  for buckets in plan.levels],
+        out_rows=[[bucket.outputs for bucket in buckets]
+                  for buckets in plan.levels],
+        clear_rows=[empty] * len(plan.levels),
+        row_of_net=np.arange(num_nets, dtype=np.intp),
+        num_rows=num_nets,
     )

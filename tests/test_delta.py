@@ -40,7 +40,7 @@ from repro.faults.injector import (
 from repro.faults.models import DelayFault, StuckAtFault
 from repro.nets import Mutation, apply_mutations, retype, tie_high, tie_low
 from repro.nets.netlist import CONST0
-from repro.timing import CompiledCircuit
+from repro.timing import ArrivalReplay, CompiledCircuit, build_value_plane
 from repro.timing.delta import (
     DeltaBase,
     build_delta_plane,
@@ -188,6 +188,26 @@ class TestPatchCompiled:
         assert np.allclose(
             got.switched_caps, want.switched_caps, rtol=1e-12, atol=1e-9
         )
+
+    def test_patched_replay_matches_scratch_compile(self, design):
+        # A patched circuit builds its own liveness schedule from the
+        # patched plan rather than inheriting the parent's.
+        netlist = design["netlist"]
+        index = retypable_cells(netlist)[1]
+        child = apply_mutations(netlist, [swap_of(netlist, index)])
+        scales = scales_for(child)
+        got, want = (
+            ArrivalReplay(
+                circuit, build_value_plane(circuit, design["stimulus"])
+            ).replay(scales, collect_bit_arrivals=True)
+            for circuit in (
+                patch_compiled(CompiledCircuit(netlist), child),
+                CompiledCircuit(child),
+            )
+        )
+        assert np.array_equal(got.delays, want.delays)
+        for name, matrix in want.bit_arrivals.items():
+            assert np.array_equal(got.bit_arrivals[name], matrix)
 
     def test_lineage_separates_cache_keys(self, design):
         netlist = design["netlist"]
@@ -347,6 +367,18 @@ class TestReplayDelta:
             bit_arrivals=True,
         )
         assert base.nbytes > 0
+
+    def test_base_nbytes_counts_value_capture(self, base):
+        plane = base.plane
+        packed = (
+            plane.may_packed.nbytes
+            + plane.aux_packed.nbytes
+            + plane.val_packed.nbytes
+            + plane.switched_caps.nbytes
+            + sum(arr.nbytes for arr in plane.outputs.values())
+        )
+        assert plane.nbytes == packed
+        assert base.nbytes == base.arrivals.nbytes + packed
 
     def test_cone_fraction_fallback_same_bytes(self, design, base):
         netlist = design["netlist"]

@@ -24,6 +24,7 @@ from repro.core.architecture import AgingAwareMultiplier
 from repro.errors import SimulationError
 from repro.faults.injector import compile_with_faults
 from repro.faults.models import DelayFault, StuckAtFault, TransientBitFlip
+from repro.nets import Netlist
 from repro.timing import (
     ArrivalReplay,
     CompiledCircuit,
@@ -280,6 +281,107 @@ class TestFolding:
             unfold_stream(bad, plan)
 
 
+SCHEDULE_CASES = (
+    "pi_output", "const1_output", "dangling", "output_read", "hooked",
+)
+
+
+def schedule_case(case):
+    """A small ripple adder plus the one feature ``case`` names, and the
+    faults to compile it with."""
+    nl = Netlist("schedule_" + case)
+    a = nl.add_input_port("a", 3)
+    b = nl.add_input_port("b", 3)
+    s0 = nl.xor2(a[0], b[0])
+    c0 = nl.and2(a[0], b[0])
+    t1 = nl.xor2(a[1], b[1])
+    g1 = nl.and2(a[1], b[1])
+    t2 = nl.xor2(a[2], b[2])
+    g2 = nl.and2(a[2], b[2])
+    s1 = nl.xor2(t1, c0)
+    c1 = nl.or2(g1, nl.and2(t1, c0))
+    s2 = nl.xor2(t2, c1)
+    c2 = nl.or2(g2, nl.and2(t2, c1))
+    outputs = [s0, s1, s2, c2, nl.mux2(s2, c2, a[0])]
+    faults = []
+    if case == "pi_output":
+        outputs.append(a[1])
+    elif case == "const1_output":
+        outputs.append(nl.const1)
+    elif case == "dangling":
+        # Read by nothing: their rows free after their own level and
+        # the next levels' nets take them over.
+        nl.inv(a[2])
+        nl.nand2(a[1], b[2])
+    elif case == "output_read":
+        outputs.append(nl.and2(s0, c2))
+    elif case == "hooked":
+        faults = [
+            StuckAtFault(net=c0, value=1),
+            TransientBitFlip(net=s1, rate=0.2, seed=4),
+        ]
+    nl.add_output_port("p", outputs)
+    return nl, faults
+
+
+def assert_schedule_sound(circuit):
+    """Replay the liveness of the circuit's replay plan and check its
+    schedule against it: no two simultaneously live nets share a row,
+    exactly the reused rows are cleared, and every read finds its net's
+    row intact."""
+    plan = circuit.soa_replay_plan()
+    schedule = circuit.replay_schedule()
+    row_of = schedule.row_of_net.tolist()
+    end = len(plan.levels)
+    outputs = {
+        net
+        for port in circuit.netlist.output_ports.values()
+        for net in port.nets
+    }
+    def_level, last_read = {}, {}
+    for level, buckets in enumerate(plan.levels):
+        for bucket in buckets:
+            for net in bucket.outputs.tolist():
+                def_level[net] = level
+            for net in bucket.pins.ravel().tolist():
+                last_read[net] = level
+    live_until = {
+        net: end if net in outputs else last_read.get(net, level)
+        for net, level in def_level.items()
+    }
+    owner = {}
+    for level, buckets in enumerate(plan.levels):
+        for bucket, pin_rows, out_rows in zip(
+            buckets, schedule.pin_rows[level], schedule.out_rows[level]
+        ):
+            assert np.array_equal(pin_rows, schedule.row_of_net[bucket.pins])
+            assert np.array_equal(
+                out_rows, schedule.row_of_net[bucket.outputs]
+            )
+            for net in bucket.pins.ravel().tolist():
+                if net in def_level:
+                    assert owner[row_of[net]] == net
+                else:
+                    assert row_of[net] == 0
+        reused = set()
+        for bucket in buckets:
+            for net in bucket.outputs.tolist():
+                row = row_of[net]
+                assert 0 < row < schedule.num_rows
+                previous = owner.get(row)
+                if previous is not None:
+                    assert live_until[previous] < level
+                    reused.add(row)
+                owner[row] = net
+        assert sorted(reused) == schedule.clear_rows[level].tolist()
+    for net in outputs:
+        if net in def_level:
+            assert owner[row_of[net]] == net
+        else:
+            assert row_of[net] == 0
+    return schedule
+
+
 class TestReplayKernels:
     def scales_for(self, circuit, k, seed=5):
         rng = np.random.default_rng(seed)
@@ -381,10 +483,73 @@ class TestReplayKernels:
         circuit = CompiledCircuit(cb8)
         plane = build_value_plane(circuit, stream8)
         scales = self.scales_for(circuit, 2)
-        window = np.zeros((circuit.num_nets, 16, 2))[:, :8, :]
+        schedule = circuit.replay_schedule()
+        window = np.zeros((schedule.num_rows, 16, 2))[:, :8, :]
         with pytest.raises(SimulationError, match="contiguous"):
             replay_mod.replay_buckets(
-                circuit.soa_replay_plan(), plane, scales, window, 0, 8
+                circuit.soa_replay_plan(), schedule, plane, scales,
+                window, 0, 8,
+            )
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("case", SCHEDULE_CASES)
+    def test_slot_window_matches_reference_and_base(
+        self, case, chunked, monkeypatch
+    ):
+        netlist, faults = schedule_case(case)
+        circuit = compile_with_faults(netlist, faults)
+        rng = np.random.default_rng(11)
+        stim = {name: rng.integers(0, 8, 203) for name in ("a", "b")}
+        if chunked:
+            monkeypatch.setattr(
+                replay_mod, "REPLAY_CHUNK_TARGET_BYTES", 1
+            )
+        plane = build_value_plane(circuit, stim)
+        scales = self.scales_for(circuit, 3)
+        got = ArrivalReplay(circuit, plane).replay(
+            scales, collect_bit_arrivals=True
+        )
+        wants = [
+            reference_replay(
+                circuit, plane, scales, collect_bit_arrivals=True
+            )
+        ]
+        if not faults:  # delta bases need a hook-free circuit
+            wants.append(
+                DeltaBase(circuit, stim, scales).result(
+                    collect_bit_arrivals=True
+                )
+            )
+        assert got.delays.any()
+        for want in wants:
+            assert np.array_equal(got.delays, want.delays)
+            assert np.array_equal(got.bit_arrivals["p"],
+                                  want.bit_arrivals["p"])
+        schedule = assert_schedule_sound(circuit)
+        assert schedule.num_rows < circuit.num_nets
+        if case == "dangling":
+            for cell in netlist.cells[-2:]:
+                row = schedule.row_of_net[cell.output]
+                assert np.count_nonzero(schedule.row_of_net == row) > 1
+        if case in ("pi_output", "const1_output"):
+            last_bit = netlist.output_ports["p"].nets[-1]
+            assert schedule.row_of_net[last_bit] == 0
+
+    def test_schedule_rows_column_16(self):
+        circuit = CompiledCircuit(column_bypass_multiplier(16))
+        schedule = assert_schedule_sound(circuit)
+        assert schedule.num_rows == 344
+        assert circuit.replay_schedule() is schedule  # cached
+
+    def test_window_rows_must_match_schedule(self, cb8, stream8):
+        circuit = CompiledCircuit(cb8)
+        plane = build_value_plane(circuit, stream8)
+        scales = self.scales_for(circuit, 2)
+        window = np.zeros((circuit.num_nets, 8, 2))
+        with pytest.raises(SimulationError, match="rows"):
+            replay_mod.replay_buckets(
+                circuit.soa_replay_plan(), circuit.replay_schedule(),
+                plane, scales, window, 0, 8,
             )
 
     def test_replay_chunk_size_properties(self):
