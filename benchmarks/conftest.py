@@ -4,7 +4,7 @@ Each benchmark regenerates one paper table/figure through the experiment
 registry and reports its wall-clock via pytest-benchmark.  Pattern counts
 are scaled down (see ``SCALE``) so the whole suite runs in minutes; the
 full-scale numbers live in EXPERIMENTS.md and can be regenerated with
-``python -m repro.experiments all``.
+``python -m repro experiments all``.
 
 Every benchmark also *asserts the paper's qualitative claim* for its
 figure, so the suite doubles as an end-to-end reproduction check.

@@ -7,20 +7,29 @@ latency spread, with high parametric yield at the nominal clock.
 
 from conftest import run_once
 
-from repro.timing.variation import ProcessVariation, yield_analysis
+from repro.montecarlo.spec import MonteCarloSpec
+from repro.timing.variation import yield_analysis
 
 
 def test_yield_across_corners(benchmark, ctx):
     arch = ctx.variable_design(16, "column", 7, 0.9)
+    # Vth sigmas whose ProcessVariation.from_spec mapping is a 0.1
+    # global / 0.03 per-cell log-delay sigma.
+    tech = arch.technology
+    slope = tech.alpha_sat / (
+        0.5 * (tech.gate_overdrive_p + tech.gate_overdrive_n)
+    )
+    spec = MonteCarloSpec.from_overrides(
+        num_dies=12,
+        num_patterns=800,
+        seed=3,
+        sigma_global_v=0.1 / slope,
+        sigma_spatial_v=0.0,
+        sigma_random_v=0.03 / slope,
+    )
 
     def analyze():
-        return yield_analysis(
-            arch,
-            num_dies=12,
-            num_patterns=800,
-            variation=ProcessVariation(sigma_global=0.1, sigma_local=0.03),
-            seed=3,
-        )
+        return yield_analysis(arch, spec)
 
     report = run_once(benchmark, analyze)
     # A 2-sigma ~ +-20% corner spread stays a bounded latency spread

@@ -3,7 +3,7 @@
 Runs the same 52-site fault-injection campaign serially and across two
 worker processes, asserts the sharded sweep is bit-identical to the
 serial one (the determinism contract of DESIGN.md section 9), and
-reports both wall-clocks.  ``python -m repro.faults bench`` produces the
+reports both wall-clocks.  ``python -m repro faults bench`` produces the
 committed JSON artifact (``benchmarks/results/campaign_scaling.json``)
 from the same machinery.
 """
@@ -12,20 +12,25 @@ import time
 
 from conftest import run_once
 
-from repro.core import AgingAwareMultiplier
-from repro.faults import InjectionCampaign
+from repro.faults import campaign_from_spec
 
 SITES = 52
 PATTERNS = 400
 
 
 def _campaign():
-    arch = AgingAwareMultiplier.build(
-        8, "column", skip=3, cycle_ns=0.9, characterize_patterns=600
-    )
-    arch = arch.with_cycle(0.6 * arch.critical_path_ns())
-    return InjectionCampaign.sweep(
-        arch, num_sites=SITES, num_patterns=PATTERNS, seed=7
+    # Built from a spec: sharded workers rebuild the campaign from it.
+    return campaign_from_spec(
+        {
+            "width": 8,
+            "kind": "column",
+            "skip": 3,
+            "cycle_fraction": 0.6,
+            "sites": SITES,
+            "patterns": PATTERNS,
+            "seed": 7,
+            "characterize_patterns": 600,
+        }
     )
 
 

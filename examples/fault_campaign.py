@@ -25,8 +25,13 @@ Run:  python examples/fault_campaign.py
 import os
 import tempfile
 
-from repro import AgingAwareMultiplier, RecoveryExhaustedError
-from repro.faults import DelayFault, InjectionCampaign, compile_with_faults
+from repro import RecoveryExhaustedError
+from repro.faults import (
+    DelayFault,
+    InjectionCampaign,
+    campaign_from_spec,
+    compile_with_faults,
+)
 
 WIDTH = 8
 SITES = 60
@@ -36,19 +41,27 @@ CHECKPOINT = os.path.join(tempfile.gettempdir(), "repro_campaign.jsonl")
 
 def main():
     print("Building the %dx%d A-VLCB..." % (WIDTH, WIDTH))
-    mult = AgingAwareMultiplier.build(
-        WIDTH, "column", skip=WIDTH // 2 - 1, cycle_ns=0.9
-    )
     # Run at 60% of the critical path: tight enough that Razor has real
-    # work to do, the operating region the paper's sweeps prefer.
-    mult = mult.with_cycle(0.6 * mult.critical_path_ns())
+    # work to do, the operating region the paper's sweeps prefer.  A
+    # campaign built from a spec can be rebuilt in worker processes,
+    # which is what lets it run in parallel.
+    campaign = campaign_from_spec(
+        {
+            "width": WIDTH,
+            "kind": "column",
+            "skip": WIDTH // 2 - 1,
+            "cycle_fraction": 0.6,
+            "sites": SITES,
+            "patterns": PATTERNS,
+            "seed": 7,
+            "characterize_patterns": 2000,
+        }
+    )
+    mult = campaign.architecture
 
     print(
         "Sweeping %d fault sites x %d patterns (degrade policy,"
         " 2 workers, checkpoint %s)..." % (SITES, PATTERNS, CHECKPOINT)
-    )
-    campaign = InjectionCampaign.sweep(
-        mult, num_sites=SITES, num_patterns=PATTERNS, seed=7
     )
     result = campaign.run(workers=2, checkpoint=CHECKPOINT)
     print()

@@ -7,10 +7,9 @@ Usage::
     python -m repro service serve            # reliability query service
     python -m repro mc --dies 10000 --jobs 8 # variation x aging Monte Carlo
 
-Each command forwards the remaining arguments to the matching
-sub-CLI (previously the separate ``python -m repro.experiments`` /
-``repro.faults`` / ``repro.service`` entry points, which still work as
-deprecation shims).  Commands import lazily, so ``python -m repro mc``
+Each command forwards the remaining arguments to the ``main(argv)`` of
+the matching sub-CLI module (``repro.<package>.cli``; ``distrib`` keeps
+its ``__main__``).  Commands import lazily, so ``python -m repro mc``
 never pays for the service or faults stacks.
 
 Exit status: the sub-CLI's; 2 for an unknown command (with a
@@ -26,15 +25,15 @@ from typing import List, Optional
 #: command -> (module with ``main(argv) -> int``, one-line description).
 COMMANDS = {
     "experiments": (
-        "repro.experiments.__main__",
+        "repro.experiments.cli",
         "run / list the paper-reproduction experiments",
     ),
     "faults": (
-        "repro.faults.__main__",
+        "repro.faults.cli",
         "fault-injection campaigns and their benchmarks",
     ),
     "service": (
-        "repro.service.__main__",
+        "repro.service.cli",
         "reliability query service (serve / query / direct / bench)",
     ),
     "mc": (

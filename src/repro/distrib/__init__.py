@@ -1,25 +1,26 @@
-"""Multi-host distributed campaign execution.
+"""Parallel and multi-host execution over one JSON job protocol.
 
-The fault-injection campaigns, the Monte Carlo pricer, and the
-experiment-suite scheduler all fan work out over a local
-:class:`~concurrent.futures.ProcessPoolExecutor`.  This package
-generalizes that fan-out to machines that do not share a Python
-process -- or even a filesystem -- while preserving the repo's
-bit-identity contract: a distributed run merges to byte-identical
-rendered/JSON output versus the serial run.
+The fault-injection campaigns, the Monte Carlo pricer, the
+experiment-suite scheduler and the reliability service's backend all
+fan work out through this package -- locally and across machines that
+do not share a Python process, or even a filesystem -- while preserving
+the repo's bit-identity contract: a parallel run merges to
+byte-identical rendered/JSON output versus the serial run.
 
 The design rests on one rule: **jobs travel as JSON specs, never as
 pickles.**  Every worker rebuilds heavy state (characterized factories,
 compiled circuits) deterministically from a handful of CLI-level
 parameters (:func:`repro.faults.campaign.campaign_from_spec`,
-:func:`repro.montecarlo.runner.mc_job_spec`), and caches it per
-process, so any host with this repo checked out can serve jobs.
+:func:`repro.montecarlo.runner.mc_job_spec`,
+:meth:`repro.experiments.context.ExperimentContext.to_spec`), and
+caches it per process, so any host with this repo checked out can serve
+jobs.
 
 Three pool flavours, selected by ``--pool SPEC``:
 
-* ``local:N`` -- :class:`~.pool.LocalPool`, a process pool speaking the
-  same JSON job protocol as the remote transports (the reference
-  implementation and the CI stand-in for a cluster);
+* ``local:N`` -- :class:`~.pool.LocalPool`, the package's only process
+  pool (``--jobs N`` / ``workers=N`` everywhere mean ``local:N``); it
+  rebuilds itself and isolates a crashing job when a worker dies;
 * ``tcp:host:port,host:port`` -- :class:`~.pool.TcpPool`, newline-
   delimited JSON over sockets to ``python -m repro distrib worker``
   daemons (framing shared with :mod:`repro.service.protocol`);

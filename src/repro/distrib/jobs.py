@@ -8,6 +8,11 @@ is rebuilt deterministically from the spec and cached per process
 keyed by the spec's canonical JSON, so a worker serving many batches
 of the same campaign characterizes it exactly once.
 
+The ``context`` field of the ``experiment``, ``mc_shard`` and ``query``
+jobs is one :meth:`~repro.experiments.context.ExperimentContext.to_spec`
+dict (technology, simulation config, scale, characterization length
+and an optional store directory); absent, it means the default context.
+
 Job kinds:
 
 ``fault_sites``
@@ -18,15 +23,26 @@ Job kinds:
     (:meth:`SiteReport.to_dict` payloads, checkpoint-compatible).
 
 ``mc_shard``
-    ``{"job": "mc_shard", "mc": {...}, "die_range": [lo, hi]}`` --
-    price one die range via
+    ``{"job": "mc_shard", "mc": {...}, "context": {...},
+    "die_range": [lo, hi]}`` -- price one die range via
     :func:`repro.montecarlo.runner.run_mc_shard`.  Result: the shard
     payload (fingerprint + die_range + reduction planes).
 
 ``experiment``
-    ``{"job": "experiment", "name": "fig7", "scale": 1.0,
-    "characterize_patterns": 2000}`` -- run one registered experiment.
-    Result: ``{"title": ..., "rendered": ..., "elapsed": ...}``.
+    ``{"job": "experiment", "name": "fig7", "context": {...}}`` -- run
+    one registered experiment.  Result: ``{"title": ..., "rendered":
+    ..., "elapsed": ..., "store_delta": {...}}`` (the store counters
+    the run moved; empty without a store).
+
+``query``
+    ``{"job": "query", "query": {...}, "context": {...}}`` -- price
+    one reliability-service query (a
+    :meth:`repro.service.protocol.QuerySpec.to_payload` dict) via
+    :func:`repro.service.backend.compute_batch`.  Result:
+    ``{"records": [...]}``.  An ``"inject"`` field (``"crash"`` /
+    ``"sleep:S"``) is honoured only under ``testing_hooks``, which only
+    a :class:`~.pool.LocalPool` built with it passes; TCP daemons and
+    manifest executors ignore it.
 
 ``variant_shard``
     ``{"job": "variant_shard", "sweep": {...}, "engine": "delta",
@@ -47,6 +63,7 @@ A legacy ``"kernel"`` key in a request is accepted only as ``"soa"``
 from __future__ import annotations
 
 import json
+import os
 import time
 from typing import Dict
 
@@ -55,7 +72,8 @@ from ..errors import ConfigError
 
 #: Job kinds :func:`run_job` dispatches on.
 JOB_KINDS = (
-    "fault_sites", "mc_shard", "experiment", "variant_shard", "ping"
+    "fault_sites", "mc_shard", "experiment", "variant_shard", "query",
+    "ping",
 )
 
 #: Per-process cache of rebuilt heavy state, keyed by
@@ -83,19 +101,17 @@ def _campaign_for(spec: Dict):
     return _STATE_CACHE[key]
 
 
-def _context_for(scale: float, characterize_patterns: int):
+def _context_for(request: Dict):
     from ..experiments.context import ExperimentContext
 
-    spec = {
-        "scale": float(scale),
-        "characterize_patterns": int(characterize_patterns),
-    }
+    spec = request.get("context") or {}
+    if not isinstance(spec, dict):
+        raise ConfigError(
+            "job 'context' must be a dict, got %r" % (spec,)
+        )
     key = _cache_key("context", spec)
     if key not in _STATE_CACHE:
-        _STATE_CACHE[key] = ExperimentContext(
-            scale=float(scale),
-            characterize_patterns=int(characterize_patterns),
-        )
+        _STATE_CACHE[key] = ExperimentContext.from_spec(spec)
     return _STATE_CACHE[key]
 
 
@@ -138,7 +154,11 @@ def _run_mc_shard(request: Dict) -> Dict:
             "mc_shard job needs a 2-element 'die_range', got %r"
             % (die_range,)
         )
-    return run_mc_shard(job, (int(die_range[0]), int(die_range[1])))
+    return run_mc_shard(
+        job,
+        (int(die_range[0]), int(die_range[1])),
+        context=_context_for(request) if request.get("context") else None,
+    )
 
 
 def _sweep_for(spec: Dict):
@@ -179,6 +199,7 @@ def _run_variant_shard(request: Dict) -> Dict:
 
 def _run_experiment(request: Dict) -> Dict:
     from ..experiments.registry import get_experiment
+    from ..experiments.store import counter_delta
 
     name = request.get("name")
     if not isinstance(name, str):
@@ -186,24 +207,48 @@ def _run_experiment(request: Dict) -> Dict:
             "experiment job needs a 'name' string, got %r" % (name,)
         )
     spec = get_experiment(name)
-    context = _context_for(
-        request.get("scale", 1.0),
-        request.get("characterize_patterns", 2000),
-    )
+    context = _context_for(request)
+    before = context.store.snapshot() if context.store else {}
     start = time.perf_counter()
     result = spec.run(context)
+    elapsed = time.perf_counter() - start
     return {
         "title": spec.title,
         "rendered": result.render(),
-        "elapsed": time.perf_counter() - start,
+        "elapsed": elapsed,
+        "store_delta": (
+            counter_delta(before, context.store.snapshot())
+            if context.store
+            else {}
+        ),
     }
 
 
-def run_job(request: Dict) -> Dict:
+def _run_query(request: Dict, testing_hooks: bool) -> Dict:
+    from ..service.backend import compute_batch
+    from ..service.protocol import QuerySpec
+
+    inject = request.get("inject")
+    if testing_hooks and inject:
+        if inject == "crash":
+            os._exit(3)
+        if inject.startswith("sleep:"):
+            time.sleep(float(inject.split(":", 1)[1]))
+    payload = request.get("query")
+    if not isinstance(payload, dict):
+        raise ConfigError(
+            "query job needs a 'query' dict, got %r" % (payload,)
+        )
+    spec = QuerySpec(**dict(payload, years=tuple(payload["years"])))
+    return {"records": compute_batch(_context_for(request), spec)}
+
+
+def run_job(request: Dict, testing_hooks: bool = False) -> Dict:
     """Execute one JSON job request; returns a JSON-able result dict.
 
     Raises typed :class:`~repro.errors.ReproError` subclasses on bad
     requests; transports catch and ship them back as error responses.
+    ``testing_hooks`` enables the ``query`` job's ``inject`` field.
     """
     if not isinstance(request, dict):
         raise ConfigError("job request must be a dict, got %r" % (request,))
@@ -219,6 +264,8 @@ def run_job(request: Dict) -> Dict:
         return _run_experiment(request)
     if kind == "variant_shard":
         return _run_variant_shard(request)
+    if kind == "query":
+        return _run_query(request, testing_hooks)
     import difflib
 
     hints = difflib.get_close_matches(str(kind), JOB_KINDS, n=1)

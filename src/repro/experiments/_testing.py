@@ -3,10 +3,10 @@
 These specs are NOT part of the normal registry: they only exist when
 the ``REPRO_TEST_EXPERIMENTS`` environment variable is set (see the
 hook at the bottom of :mod:`repro.experiments.registry`).  Because the
-environment propagates to ``ProcessPoolExecutor`` workers, the injected
-ids resolve inside worker processes too -- which is exactly what the
-worker-crash degradation tests need: a spec that raises in-worker and a
-spec that kills its worker process outright.
+environment propagates to :class:`~repro.distrib.pool.LocalPool`
+workers, the injected ids resolve inside worker processes too -- which
+is exactly what the worker-crash degradation tests need: a spec that
+raises in-worker and a spec that kills its worker process outright.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def run_raise(context):
 
 def run_crash(context):
     """Kill the worker process outright (no exception, no cleanup) --
-    the ProcessPoolExecutor sees a BrokenProcessPool."""
+    the pool sees its executor break."""
     os._exit(3)
 
 

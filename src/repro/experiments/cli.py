@@ -2,19 +2,19 @@
 
 Usage::
 
-    python -m repro.experiments                 # list experiments
-    python -m repro.experiments --tag paper     # list a tag's experiments
-    python -m repro.experiments fig05           # run one
-    python -m repro.experiments fig05,fig07     # run a few
-    python -m repro.experiments all             # run everything
-    python -m repro.experiments all --scale .1  # quick pass (10% patterns)
-    python -m repro.experiments all --jobs 4    # parallel suite run
-    python -m repro.experiments all --store .repro-store   # persistent
-    python -m repro.experiments all --store .repro-store --cold
+    python -m repro experiments                 # list experiments
+    python -m repro experiments --tag paper     # list a tag's experiments
+    python -m repro experiments fig05           # run one
+    python -m repro experiments fig05,fig07     # run a few
+    python -m repro experiments all             # run everything
+    python -m repro experiments all --scale .1  # quick pass (10% patterns)
+    python -m repro experiments all --jobs 4    # parallel suite run
+    python -m repro experiments all --store .repro-store   # persistent
+    python -m repro experiments all --store .repro-store --cold
 
-``--jobs N`` fans the suite out over N worker processes after a warm-up
-stage characterizes each shared design exactly once; rendered outputs
-are byte-identical to the serial run.  ``--store PATH`` persists
+``--jobs N`` (the same as ``--pool local:N``) fans the experiments out
+over N worker processes; rendered outputs are byte-identical to the
+serial run.  ``--store PATH`` persists
 netlists / stress profiles / stream results across invocations, so a
 warm re-run touches almost no simulation; ``--cold`` clears the store
 first.  Exit status: 0 on success, 1 when any experiment failed (the
@@ -36,7 +36,7 @@ from .store import ArtifactStore
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
+        prog="python -m repro experiments",
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument(
@@ -66,7 +66,8 @@ def main(argv=None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes (default 1 = serial; >1 shares a store)",
+        help="worker processes (default 1 = serial; N > 1 is the same"
+        " as --pool local:N)",
     )
     parser.add_argument(
         "--store",
@@ -174,9 +175,4 @@ def _run(args) -> int:
 
 
 if __name__ == "__main__":
-    print(
-        "note: 'python -m repro.experiments' is deprecated; use"
-        " 'python -m repro experiments' (same arguments)",
-        file=sys.stderr,
-    )
     sys.exit(main())

@@ -75,6 +75,41 @@ class ExperimentContext:
         self._tech_fp: Optional[str] = None
         self._netlist_fps: Dict[Tuple[int, str], str] = {}
 
+    # -- JSON transport ------------------------------------------------
+
+    def to_spec(self) -> Dict:
+        """The JSON context spec pool workers rebuild this context from
+        (shared by the ``experiment``, ``mc_shard`` and ``query`` jobs
+        of :mod:`repro.distrib.jobs`).  In-memory caches do not travel;
+        the store directory does, so workers share its artifacts."""
+        return {
+            "technology": dataclasses.asdict(self.technology),
+            "config": dataclasses.asdict(self.config),
+            "scale": float(self.scale),
+            "characterize_patterns": int(self.characterize_patterns),
+            "store": None if self.store is None else self.store.directory,
+        }
+
+    @classmethod
+    def from_spec(cls, spec: Optional[Dict]) -> "ExperimentContext":
+        """Inverse of :meth:`to_spec`; missing fields take defaults."""
+        spec = spec or {}
+        try:
+            technology = Technology(**spec.get("technology", {}))
+            config = SimulationConfig(**spec.get("config", {}))
+        except TypeError as exc:
+            raise ConfigError("bad context spec: %s" % exc) from None
+        store = spec.get("store")
+        return cls(
+            technology=technology,
+            config=config,
+            scale=float(spec.get("scale", 1.0)),
+            characterize_patterns=int(
+                spec.get("characterize_patterns", 2000)
+            ),
+            store=None if store is None else ArtifactStore(store),
+        )
+
     # -- store keys ----------------------------------------------------
 
     def _technology_fp(self) -> str:

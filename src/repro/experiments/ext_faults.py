@@ -125,7 +125,6 @@ def run(
     skip: Optional[int] = None,
     seed: int = 3,
     years: float = 0.0,
-    workers: int = 1,
     checkpoint: Optional[str] = None,
     prune: bool = True,
 ) -> FaultCoverageResult:
@@ -157,9 +156,7 @@ def run(
         checkpoint = os.path.join(
             ctx.store.campaigns_dir(), "ext_faults-%s.jsonl" % digest[:24]
         )
-    campaign_result = campaign.run(
-        workers=workers, checkpoint=checkpoint, prune=prune
-    )
+    campaign_result = campaign.run(checkpoint=checkpoint, prune=prune)
 
     # A localized hot-spot late on the critical path: the extra delay
     # rides on top of every pattern exercising that path, lifting the

@@ -323,7 +323,7 @@ REGISTRY: Dict[str, ExperimentSpec] = {
 
 # Fault-injection specs for scheduler degradation tests.  Registered
 # only when REPRO_TEST_EXPERIMENTS is set; the environment propagates
-# to ProcessPoolExecutor workers, so the injected ids resolve there too.
+# to pool workers, so the injected ids resolve there too.
 if os.environ.get("REPRO_TEST_EXPERIMENTS"):
     from . import _testing
 

@@ -1,6 +1,6 @@
-"""Dependency-aware parallel suite runner.
+"""Dependency-aware suite runner.
 
-``python -m repro.experiments all`` used to execute ~30 experiments
+``python -m repro experiments all`` used to execute ~30 experiments
 strictly serially, and every experiment implicitly (re)characterized
 whatever designs it touched.  This module turns the implicit resource
 usage into an explicit schedule:
@@ -9,33 +9,30 @@ usage into an explicit schedule:
    :class:`~repro.experiments.registry.Resources` into the set of
    unique ``(width, kind)`` designs and netlists the suite needs.
    Experiments themselves are mutually independent; the only shared
-   edges in the dependency graph are these characterization artifacts,
-   so the topological order collapses to exactly two stages.
-2. **Warm-up** -- each unique design is characterized exactly once
-   (widest first: the 32-bit designs dominate) and persisted to the
-   shared :class:`~repro.experiments.store.ArtifactStore`.
-3. **Fan-out** -- the experiments run over a
-   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers each
-   hold an :class:`~repro.experiments.context.ExperimentContext` backed
-   by the same store, so no worker ever recomputes a warm artifact.
+   edges in the dependency graph are these characterization artifacts.
+2. **Serial run** -- each unique design is characterized exactly once
+   up front (widest first), then the experiments run in request order
+   on one shared :class:`~repro.experiments.context.ExperimentContext`.
+3. **Pooled run** -- ``jobs=N`` means ``pool=LocalPool(N)``: every
+   experiment becomes one JSON ``experiment`` job (see
+   :mod:`repro.distrib.jobs`) carrying the context spec, submitted
+   widest-first.  Workers share the optional
+   :class:`~repro.experiments.store.ArtifactStore` and return rendered
+   text plus their store-counter delta, which the driver merges.  Worker
+   deaths degrade inside the pool (:class:`~repro.distrib.pool
+   .LocalPool`) to per-experiment error records.
 
 Rendered experiment outputs are byte-identical to the serial run: every
 random draw is seeded, the store round-trips arrays losslessly, and the
 two-plane replay is bit-identical to direct simulation, so only the
-wall-clock attribution changes.  Workers return rendered strings (plus
-timing and cache accounting), not result objects, which keeps the
-transport picklable and the parent deterministic: entries are emitted
-in request order regardless of completion order.
+wall-clock attribution changes.  Entries are emitted in request order
+regardless of completion order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import shutil
-import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.tables import format_table
@@ -48,12 +45,12 @@ from .store import ArtifactStore, counter_delta, delta_totals
 
 @dataclasses.dataclass(frozen=True)
 class SuitePlan:
-    """The two-stage schedule of one suite invocation.
+    """The schedule of one suite invocation.
 
     Attributes:
         names: Experiment ids in emission order.
-        warmup_designs: Unique ``(width, kind)`` designs to
-            characterize up front, widest first.
+        warmup_designs: Unique ``(width, kind)`` designs a serial run
+            characterizes up front, widest first.
         warmup_netlists: Unique netlist-only builds not implied by a
             design.
     """
@@ -204,26 +201,6 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Worker-process side.  State ships once through the pool initializer
-# (the faults.parallel idiom); tasks then reference it by module global.
-# ----------------------------------------------------------------------
-
-_WORKER_CONTEXT: Optional[ExperimentContext] = None
-
-
-def _init_worker(technology, config, scale, characterize_patterns,
-                 store_dir) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = ExperimentContext(
-        technology=technology,
-        config=config,
-        scale=scale,
-        characterize_patterns=characterize_patterns,
-        store=ArtifactStore(store_dir),
-    )
-
-
 def _snapshot(context: ExperimentContext):
     return context.store.snapshot() if context.store is not None else {}
 
@@ -232,46 +209,6 @@ def _delta(context: ExperimentContext, before):
     if context.store is None:
         return {}
     return counter_delta(before, context.store.snapshot())
-
-
-def _warmup_design(pair: Tuple[int, str]):
-    width, kind = pair
-    before = _snapshot(_WORKER_CONTEXT)
-    start = time.perf_counter()
-    _WORKER_CONTEXT.factory(width, kind)
-    return (
-        time.perf_counter() - start,
-        _delta(_WORKER_CONTEXT, before),
-    )
-
-
-def _warmup_netlist(pair: Tuple[int, str]):
-    width, kind = pair
-    before = _snapshot(_WORKER_CONTEXT)
-    start = time.perf_counter()
-    _WORKER_CONTEXT.netlist(width, kind)
-    return (
-        time.perf_counter() - start,
-        _delta(_WORKER_CONTEXT, before),
-    )
-
-
-def _run_spec(name: str):
-    spec = get_experiment(name)
-    before = _snapshot(_WORKER_CONTEXT)
-    start = time.perf_counter()
-    result = spec.run(_WORKER_CONTEXT)
-    elapsed = time.perf_counter() - start
-    return (
-        name,
-        spec.title,
-        result.render(),
-        elapsed,
-        _delta(_WORKER_CONTEXT, before),
-    )
-
-
-# ----------------------------------------------------------------------
 
 
 def _resolve_names(
@@ -315,20 +252,18 @@ def run_suite(
             filtered by ``tag``).
         scale: Pattern-count multiplier forwarded to every context.
         jobs: Worker processes.  1 runs serially in this process;
-            N > 1 fans out over a ``ProcessPoolExecutor`` after the
-            warm-up stage.
-        store: :class:`ArtifactStore`, directory path, or None.  With
-            ``jobs > 1`` and no store, a temporary store is created for
-            the run (the workers need a sharing medium) and removed
-            afterwards.
+            N > 1 is shorthand for ``pool=LocalPool(N)``.
+        store: :class:`ArtifactStore`, directory path, or None.  Pooled
+            workers open the same directory (it must be reachable from
+            them) and their counter deltas merge into this store's.
         context: Serial runs only -- reuse an existing context (its
             technology/config/scale win over the other arguments).
         on_result: Called with each :class:`SuiteEntry` as soon as it
             is finalized, always in request order.
         pool: Optional :class:`~repro.distrib.pool.WorkerPool`;
-            experiments run on its workers (default technology/config
-            only -- job specs travel as JSON) and return rendered text,
-            byte-identical to the serial run.
+            experiments run on its workers, which rebuild the context
+            from its JSON spec and return rendered text, byte-identical
+            to the serial run.
 
     Returns:
         A :class:`SuiteResult`; entry order matches the request order,
@@ -336,62 +271,62 @@ def run_suite(
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1, got %r" % (jobs,))
+    if jobs > 1 and pool is not None:
+        raise ConfigError("pass either jobs > 1 or a pool, not both")
     names = _resolve_names(names, tag)
     plan = plan_suite(names)
     if isinstance(store, str):
         store = ArtifactStore(store)
-    if context is not None and jobs > 1:
+    if context is not None and (jobs > 1 or pool is not None):
         raise ConfigError("an explicit context forces a serial run")
 
     start = time.perf_counter()
-    if pool is not None:
-        if (technology is not DEFAULT_TECHNOLOGY
-                or config is not DEFAULT_SIM_CONFIG):
-            raise ConfigError(
-                "pooled suites rebuild state from JSON job specs,"
-                " which only carry the default technology/config"
-            )
-        result = _run_pooled(
-            plan, scale, characterize_patterns, pool, on_result,
-        )
-    elif jobs == 1 or len(names) <= 1:
+    if pool is None and (jobs == 1 or len(names) <= 1):
         result = _run_serial(
             plan, scale, store, technology, config,
             characterize_patterns, context, on_result,
         )
     else:
-        result = _run_parallel(
-            plan, scale, jobs, store, technology, config,
-            characterize_patterns, on_result,
+        context = ExperimentContext(
+            technology=technology,
+            config=config,
+            scale=scale,
+            characterize_patterns=characterize_patterns,
+            store=store,
         )
+        if pool is not None:
+            result = _run_pooled(plan, context, pool, on_result)
+        else:
+            from ..distrib.pool import LocalPool
+
+            with LocalPool(min(jobs, len(names))) as local:
+                result = _run_pooled(plan, context, local, on_result)
     result.wall_s = time.perf_counter() - start
     return result
 
 
-def _run_pooled(
-    plan, scale, characterize_patterns, pool, on_result,
-) -> SuiteResult:
-    """Fan the experiments out over a :class:`WorkerPool`.
+def _run_pooled(plan, context, pool, on_result) -> SuiteResult:
+    """Stream the experiments through a :class:`WorkerPool`.
 
-    Workers rebuild an :class:`ExperimentContext` from the job spec and
-    return rendered text -- the same transport as the process pool, so
-    outputs stay byte-identical to the serial run.
+    Requests go out widest-first (the 32-bit sweeps dominate the
+    makespan); entries are flushed to ``on_result`` in request order as
+    soon as every earlier one is in.
     """
     from ..distrib.pool import run_suite_pooled
 
+    order = sorted(plan.names, key=_spec_weight)
+    spec = context.to_spec()
     requests = [
-        {
-            "job": "experiment",
-            "name": name,
-            "scale": scale,
-            "characterize_patterns": characterize_patterns,
-        }
-        for name in plan.names
+        {"job": "experiment", "name": name, "context": spec}
+        for name in order
     ]
-    responses = run_suite_pooled(pool, requests)
-    entries: List[SuiteEntry] = []
-    for name, response in zip(plan.names, responses):
-        if response.get("error"):
+    position = {name: i for i, name in enumerate(plan.names)}
+    entries: List[Optional[SuiteEntry]] = [None] * len(plan.names)
+    flushed = 0
+    store = context.store
+    for index, response in run_suite_pooled(pool, requests):
+        name = order[index]
+        if "error" in response:
             entry = _error_entry(name, response["error"])
         else:
             entry = SuiteEntry(
@@ -399,19 +334,23 @@ def _run_pooled(
                 title=response["title"],
                 rendered=response["rendered"],
                 elapsed=float(response.get("elapsed", 0.0)),
-                store_delta={},
+                store_delta=response.get("store_delta") or {},
             )
-        entries.append(entry)
-        if on_result is not None:
-            on_result(entry)
+            if store is not None:
+                store.merge_counters(entry.store_delta)
+        entries[position[name]] = entry
+        while flushed < len(entries) and entries[flushed] is not None:
+            if on_result is not None:
+                on_result(entries[flushed])
+            flushed += 1
     return SuiteResult(
         entries=entries,
         plan=plan,
         jobs=pool.size,
         wall_s=0.0,
         warmup_s=0.0,
-        store_dir=None,
-        store_counters=None,
+        store_dir=store.directory if store is not None else None,
+        store_counters=store.snapshot() if store is not None else None,
     )
 
 
@@ -461,160 +400,13 @@ def _run_serial(
     )
 
 
-def _make_executor(
-    jobs, technology, config, scale, characterize_patterns, store_dir,
-) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_init_worker,
-        initargs=(
-            technology, config, scale, characterize_patterns, store_dir,
-        ),
-    )
-
-
-def _error_entry(name: str, error) -> SuiteEntry:
+def _error_entry(name: str, message: str) -> SuiteEntry:
     """A degraded-but-typed record for a failed experiment."""
-    spec = get_experiment(name)
-    if isinstance(error, BaseException):
-        message = "%s: %s" % (type(error).__name__, error)
-    else:
-        message = str(error)
     return SuiteEntry(
         name=name,
-        title=spec.title,
+        title=get_experiment(name).title,
         rendered="ERROR: %s" % message,
         elapsed=0.0,
         store_delta={},
         error=message,
     )
-
-
-def _run_parallel(
-    plan, scale, jobs, store, technology, config,
-    characterize_patterns, on_result,
-) -> SuiteResult:
-    temp_dir = None
-    if store is None:
-        temp_dir = tempfile.mkdtemp(prefix="repro-suite-store-")
-        store = ArtifactStore(temp_dir)
-    jobs = min(jobs, len(plan.names))
-    executor = _make_executor(
-        jobs, technology, config, scale, characterize_patterns,
-        store.directory,
-    )
-    try:
-        warmup_start = time.perf_counter()
-        warmups = [
-            executor.submit(_warmup_design, pair)
-            for pair in plan.warmup_designs
-        ]
-        warmups += [
-            executor.submit(_warmup_netlist, pair)
-            for pair in plan.warmup_netlists
-        ]
-        for future in warmups:
-            _, delta = future.result()  # re-raises worker failures
-            store.merge_counters(delta)
-        warmup_s = time.perf_counter() - warmup_start
-
-        order = {name: i for i, name in enumerate(plan.names)}
-        entries: List[SuiteEntry] = [None] * len(plan.names)
-        done_entries: Dict[int, SuiteEntry] = {}
-        flush = [0]  # next request-order index to emit
-
-        def finalize(entry: SuiteEntry) -> None:
-            index = order[entry.name]
-            entries[index] = entry
-            done_entries[index] = entry
-            # Flush finalized entries strictly in request order.
-            while flush[0] in done_entries:
-                if on_result is not None:
-                    on_result(done_entries[flush[0]])
-                flush[0] += 1
-
-        def harvest(future, name) -> bool:
-            """Finalize one completed future.  Returns True when the
-            future died with the pool (caller must rebuild + retry)."""
-            try:
-                _, title, rendered, elapsed, delta = future.result()
-            except BrokenProcessPool:
-                return True
-            except Exception as exc:
-                # Deterministic in-worker failure: record, no retry.
-                finalize(_error_entry(name, exc))
-                return False
-            store.merge_counters(delta)
-            finalize(SuiteEntry(
-                name=name,
-                title=title,
-                rendered=rendered,
-                elapsed=elapsed,
-                store_delta=delta,
-            ))
-            return False
-
-        # A worker calling os._exit (or being OOM-killed) breaks the
-        # whole pool: every unfinished future raises BrokenProcessPool,
-        # innocents included.  First breakage: rebuild the pool and
-        # resubmit every survivor in parallel.  Second breakage: the
-        # crasher is among the survivors, so isolate -- run them one at
-        # a time so a repeat crash implicates exactly one experiment,
-        # which becomes an error record while the rest complete.
-        remaining = sorted(plan.names, key=_spec_weight)
-        pool_broke_before = False
-        while remaining:
-            futures = {
-                executor.submit(_run_spec, name): name
-                for name in remaining
-            }
-            remaining = []
-            pending = set(futures)
-            broke = False
-            while pending:
-                completed, pending = wait(
-                    pending, return_when=FIRST_COMPLETED
-                )
-                for future in completed:
-                    name = futures[future]
-                    if harvest(future, name):
-                        broke = True
-                        remaining.append(name)
-            if not broke:
-                break
-            executor.shutdown(wait=False, cancel_futures=True)
-            executor = _make_executor(
-                jobs, technology, config, scale,
-                characterize_patterns, store.directory,
-            )
-            remaining.sort(key=_spec_weight)
-            if pool_broke_before:
-                # Isolation pass: one in-flight experiment at a time.
-                for name in remaining:
-                    if harvest(executor.submit(_run_spec, name), name):
-                        finalize(_error_entry(
-                            name, "worker process died while running"
-                            " this experiment",
-                        ))
-                        executor.shutdown(
-                            wait=False, cancel_futures=True
-                        )
-                        executor = _make_executor(
-                            jobs, technology, config, scale,
-                            characterize_patterns, store.directory,
-                        )
-                remaining = []
-            pool_broke_before = True
-        return SuiteResult(
-            entries=entries,
-            plan=plan,
-            jobs=jobs,
-            wall_s=0.0,
-            warmup_s=warmup_s,
-            store_dir=None if temp_dir else store.directory,
-            store_counters=store.snapshot(),
-        )
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)
-        if temp_dir is not None:
-            shutil.rmtree(temp_dir, ignore_errors=True)

@@ -20,18 +20,20 @@ Quickstart::
     print(result.render())
 
 Campaigns are restartable, partitionable jobs: ``run(workers=4,
-checkpoint="campaign.jsonl")`` shards the site list over a process pool
-(bit-identical to the serial sweep), persists every
-:class:`SiteReport` as it completes, resumes from the checkpoint after
-a kill, and prunes sites whose logic cone cannot reach an observed
-product bit.  ``python -m repro.faults run --help`` exposes the same
-machinery from the command line.
+checkpoint="campaign.jsonl")`` on a campaign built by
+:func:`campaign_from_spec` shards the site list over a
+:class:`~repro.distrib.pool.LocalPool` (bit-identical to the serial
+sweep), persists every :class:`SiteReport` as it completes, resumes
+from the checkpoint after a kill, and prunes sites whose logic cone
+cannot reach an observed product bit.  ``python -m repro faults run
+--help`` exposes the same machinery from the command line.
 """
 
 from .campaign import (
     CampaignResult,
     InjectionCampaign,
     SiteReport,
+    campaign_from_spec,
     unique_site_ids,
 )
 from .injector import (
@@ -49,7 +51,6 @@ from .models import (
     StuckAtFault,
     TransientBitFlip,
 )
-from .parallel import make_batches, run_sharded
 from .store import CheckpointStore
 
 __all__ = [
@@ -63,12 +64,11 @@ __all__ = [
     "StuckAtFault",
     "TransientBitFlip",
     "build_fault_hooks",
+    "campaign_from_spec",
     "compile_with_faults",
     "em_fault_sites",
     "enumerate_fault_sites",
     "fault_delay_scale",
     "fault_delay_scales",
-    "make_batches",
-    "run_sharded",
     "unique_site_ids",
 ]

@@ -25,12 +25,17 @@ Campaign execution (this layer's production contract):
   :class:`SiteReport` to a JSONL :class:`~repro.faults.store
   .CheckpointStore` as it completes; ``resume=True`` (the default)
   skips sites already recorded for the same campaign fingerprint.
-* **Sharding** -- ``run(workers=N)`` fans the pending sites out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`
-  (:mod:`repro.faults.parallel`).  All randomness (operand streams,
-  SEU flips) is either drawn up-front in the parent or a stateless
-  counter hash, so the sharded sweep is bit-identical to the serial
-  one regardless of worker count or chunk boundaries.
+* **Sharding** -- ``run(workers=N)`` (shorthand for
+  ``run(pool=LocalPool(N))``) fans batches of pending site indices out
+  as ``fault_sites`` jobs; workers rebuild the campaign from the spec
+  :func:`campaign_from_spec` built it from, so only a campaign with a
+  spec runs in parallel.  Operand streams and site enumeration are pure
+  functions of that spec, SEU flip decisions are a stateless counter
+  hash of ``(fault seed, net, global pattern index)`` (which is why the
+  engine never folds a circuit carrying value-corrupting hooks), and
+  sites share no state, so the sharded sweep is bit-identical to the
+  serial one regardless of worker count, chunk boundaries or completion
+  order.
 * **Graceful interruption** -- a SIGINT / :class:`KeyboardInterrupt`
   mid-sweep flushes the checkpoint and raises
   :class:`~repro.errors.CampaignInterrupted` carrying the partial
@@ -56,7 +61,7 @@ from ..config import check_legacy_kernel
 from ..arith.reference import golden_products
 from ..core.architecture import AgingAwareMultiplier
 from ..core.stats import ArchitectureRunResult
-from ..errors import CampaignInterrupted, FaultError
+from ..errors import CampaignInterrupted, ConfigError, FaultError
 from .injector import (
     compile_with_faults,
     em_fault_sites,
@@ -288,11 +293,12 @@ class CampaignResult:
 def campaign_from_spec(spec: Dict) -> "InjectionCampaign":
     """Rebuild a campaign from a small JSON-able spec dict.
 
-    This is the distributed transport: remote workers and the
-    ``faults merge`` subcommand reconstruct the exact campaign from the
-    same handful of CLI-level parameters instead of shipping pickled
-    state, relying on the campaign's determinism contract (operand
-    streams and site enumeration are pure functions of the spec).
+    This is the parallel transport: pool workers and the ``faults
+    merge`` subcommand reconstruct the exact campaign from the same
+    handful of CLI-level parameters instead of shipping pickled state,
+    relying on the campaign's determinism contract (operand streams and
+    site enumeration are pure functions of the spec).  The campaign
+    keeps the spec as :attr:`InjectionCampaign.spec`.
     """
     check_legacy_kernel(spec)
     mult = AgingAwareMultiplier.build(
@@ -305,13 +311,15 @@ def campaign_from_spec(spec: Dict) -> "InjectionCampaign":
     mult = mult.with_cycle(
         float(spec.get("cycle_fraction", 0.6)) * mult.critical_path_ns()
     )
-    return InjectionCampaign.sweep(
+    campaign = InjectionCampaign.sweep(
         mult,
         num_sites=int(spec.get("sites", 60)),
         num_patterns=int(spec.get("patterns", 2000)),
         seed=int(spec.get("seed", 7)),
         years=float(spec.get("years", 0.0)),
     )
+    campaign.spec = dict(spec)
+    return campaign
 
 
 def merge_campaign_shards(
@@ -393,6 +401,10 @@ class InjectionCampaign:
         num_patterns: Operand pairs per site.
         seed: Operand-stream seed.
         years: BTI aging point every site is simulated at.
+
+    Attributes:
+        spec: The JSON spec :func:`campaign_from_spec` built this
+            campaign from (None otherwise); parallel runs need it.
     """
 
     def __init__(
@@ -426,6 +438,7 @@ class InjectionCampaign:
             architecture.factory.delay_scale(years) if years else None
         )
         self._pristine = None
+        self.spec: Optional[Dict] = None
 
     @classmethod
     def sweep(
@@ -649,14 +662,14 @@ class InjectionCampaign:
         observed_ports: Optional[Sequence[str]] = None,
         site_range: Optional[Tuple[int, int]] = None,
         pool=None,
-        pool_spec: Optional[Dict] = None,
     ) -> CampaignResult:
         """Run every site and collect the campaign result.
 
         Args:
             workers: Processes to shard the site list over (1 = serial
-                in-process execution).  Results are bit-identical to the
-                serial sweep for any worker count.
+                in-process execution; N > 1 is shorthand for
+                ``pool=LocalPool(N)``).  Results are bit-identical to
+                the serial sweep for any worker count.
             checkpoint: Optional JSONL path; each completed
                 :class:`SiteReport` is appended and flushed immediately,
                 so a killed sweep loses at most the in-flight sites.
@@ -677,22 +690,26 @@ class InjectionCampaign:
                 checkpoint reproduces the full serial result exactly
                 (``python -m repro faults merge``).
             pool: Optional :class:`~repro.distrib.pool.WorkerPool`;
-                pending sites are dispatched through it instead of a
-                local process pool (requires ``pool_spec``).
-            pool_spec: JSON-able campaign spec remote workers rebuild
-                this campaign from (see :func:`campaign_from_spec`).
+                pending sites are dispatched through it as
+                ``fault_sites`` jobs carrying :attr:`spec`.
 
         Raises:
+            FaultError: A parallel run of a campaign without a
+                :attr:`spec`.
+            DistribError: Sites whose job failed or whose worker kept
+                dying (every other site is recorded first).
             CampaignInterrupted: A SIGINT / :class:`KeyboardInterrupt`
                 landed mid-sweep.  The checkpoint is already flushed and
                 the exception carries the partial result.
         """
         if workers < 1:
             raise FaultError("workers must be >= 1, got %d" % workers)
-        if pool is not None and pool_spec is None:
+        if workers > 1 and pool is not None:
+            raise ConfigError("pass either workers > 1 or a pool, not both")
+        if (workers > 1 or pool is not None) and self.spec is None:
             raise FaultError(
-                "a worker pool needs pool_spec (the JSON campaign spec"
-                " remote workers rebuild state from)"
+                "a parallel run rebuilds the campaign in its workers from"
+                " a spec; build it with campaign_from_spec"
             )
         total = len(self.faults)
         if site_range is None:
@@ -763,33 +780,27 @@ class InjectionCampaign:
                 if reports[index] is None
             ]
             simulated_indices.extend(pending)
-            if pending:
-                if pool is not None:
-                    from ..distrib.pool import run_campaign_pooled
+            if pending and (pool is not None or workers > 1):
+                from ..distrib.pool import LocalPool, run_campaign_pooled
 
+                site_pool = pool or LocalPool(workers)
+                try:
                     run_campaign_pooled(
-                        pool,
-                        pool_spec,
+                        site_pool,
+                        self.spec,
                         pending,
                         chunk_size=chunk_size,
                         on_result=record,
                     )
-                elif workers > 1:
-                    from .parallel import run_sharded
-
-                    run_sharded(
-                        self,
-                        pending,
-                        workers=workers,
-                        chunk_size=chunk_size,
-                        on_result=record,
+                finally:
+                    if site_pool is not pool:
+                        site_pool.close()
+            else:
+                for index in pending:
+                    site, _ = self.run_site(
+                        self.faults[index], self.site_ids[index]
                     )
-                else:
-                    for index in pending:
-                        site, _ = self.run_site(
-                            self.faults[index], self.site_ids[index]
-                        )
-                        record(index, site)
+                    record(index, site)
         except KeyboardInterrupt:
             interrupted = True
         finally:

@@ -4,20 +4,20 @@ Usage::
 
     # sharded, checkpointed sweep (resumes automatically when the
     # checkpoint already holds reports for the same campaign)
-    python -m repro.faults run --width 8 --sites 60 --patterns 2000 \\
+    python -m repro faults run --width 8 --sites 60 --patterns 2000 \\
         --workers 4 --checkpoint campaign.jsonl
 
     # distributed: each host runs one shard of the site list...
-    python -m repro.faults run --sites 60 --shard 1/2 --checkpoint a.jsonl
-    python -m repro.faults run --sites 60 --shard 2/2 --checkpoint b.jsonl
+    python -m repro faults run --sites 60 --shard 1/2 --checkpoint a.jsonl
+    python -m repro faults run --sites 60 --shard 2/2 --checkpoint b.jsonl
     # ...and the merge fuses the checkpoints, byte-identical to serial
-    python -m repro.faults merge --sites 60 --checkpoint a.jsonl b.jsonl
+    python -m repro faults merge --sites 60 --checkpoint a.jsonl b.jsonl
 
     # or dispatch sites through a worker pool (local / tcp / manifest)
-    python -m repro.faults run --sites 60 --pool tcp:hostA:9100,hostB:9100
+    python -m repro faults run --sites 60 --pool tcp:hostA:9100,hostB:9100
 
     # serial-vs-sharded wall-clock benchmark, JSON artifact included
-    python -m repro.faults bench --sites 52 --patterns 400 --workers 2 \\
+    python -m repro faults bench --sites 52 --patterns 400 --workers 2 \\
         --json benchmarks/results/campaign_scaling.json
 
 ``run`` exits 130 on SIGINT after flushing the checkpoint and printing
@@ -126,7 +126,6 @@ def cmd_run(args) -> int:
             progress=None if args.quiet else _progress,
             site_range=site_range,
             pool=pool,
-            pool_spec=spec_from_args(args) if pool is not None else None,
         )
     except CampaignInterrupted as exc:
         sys.stderr.write("\n")
@@ -219,7 +218,7 @@ def cmd_bench(args) -> int:
 
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.faults",
+        prog="python -m repro faults",
         description="Sharded, resumable fault-injection campaigns.",
     )
     sub = parser.add_subparsers(dest="command")
@@ -314,9 +313,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    print(
-        "note: 'python -m repro.faults' is deprecated; use"
-        " 'python -m repro faults' (same arguments)",
-        file=sys.stderr,
-    )
     sys.exit(main())

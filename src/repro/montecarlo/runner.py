@@ -11,18 +11,18 @@ wires the subsystem into the existing scale-out fabric:
   the :meth:`~repro.montecarlo.spec.MonteCarloSpec.fingerprint`, so a
   warm run replays nothing and byte-identically reproduces the cold
   run's report;
-* ``jobs > 1`` shards the die axis over a ``ProcessPoolExecutor``
-  (contiguous :func:`~repro.experiments.scheduler.shard_ranges`,
-  state shipped once per worker through the pool initializer -- the
-  scheduler/faults idiom).  Per-die substreams and per-row replay make
-  the merged result **bit-identical** for every job count, which the
-  acceptance gate (`--jobs 4` vs serial) checks end to end.
+* ``jobs > 1`` (shorthand for ``pool=LocalPool(jobs)``) shards the die
+  axis into contiguous :func:`~repro.experiments.scheduler.shard_ranges`
+  and prices each one as an ``mc_shard`` job whose workers rebuild the
+  pricing problem from the job spec plus the context spec.  Per-die
+  substreams and per-row replay make the merged result
+  **bit-identical** for every job count, which the acceptance gate
+  (`--jobs 4` vs serial) checks end to end.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -60,53 +60,6 @@ def _resolve_skip(width: int, skip: Optional[int]) -> int:
             "skip=%r out of the AHL-legal range [0, %d)" % (skip, width)
         )
     return skip
-
-
-# ----------------------------------------------------------------------
-# Worker-process side (state ships once through the pool initializer).
-# ----------------------------------------------------------------------
-
-_MC_WORKER: Optional[Dict] = None
-
-
-def _init_mc_worker(
-    netlist, stress, technology, spec, stimulus, zeros, width, skip,
-    clock_ns, config,
-) -> None:
-    from ..aging.degradation import AgedCircuitFactory
-
-    global _MC_WORKER
-    factory = AgedCircuitFactory(netlist, stress, technology)
-    _MC_WORKER = {
-        "factory": factory,
-        "sampler": CorrelatedVthSampler(len(netlist.cells), spec),
-        "spec": spec,
-        "stimulus": stimulus,
-        "zeros": zeros,
-        "width": width,
-        "skip": skip,
-        "clock_ns": clock_ns,
-        "config": config,
-    }
-
-
-def _price_shard(die_range: Tuple[int, int]) -> PopulationReductions:
-    w = _MC_WORKER
-    return price_population(
-        w["factory"],
-        w["sampler"],
-        w["spec"],
-        w["stimulus"],
-        w["zeros"],
-        w["width"],
-        w["skip"],
-        w["clock_ns"],
-        config=w["config"],
-        die_range=die_range,
-    )
-
-
-# ----------------------------------------------------------------------
 
 
 def population_key(
@@ -161,9 +114,9 @@ def mc_job_spec(
     skip: Optional[int],
     characterize_patterns: int = 2000,
 ) -> Dict:
-    """The JSON-able job dict remote shard workers (and ``mc merge``)
-    rebuild the pricing problem from -- default technology/config only,
-    since those cannot travel as JSON."""
+    """The JSON-able job dict shard workers (and ``mc merge``) rebuild
+    the pricing problem from; the technology and simulation config
+    travel separately, in the job's context spec."""
     return {
         "spec": spec.fingerprint(),
         "width": int(width),
@@ -185,11 +138,14 @@ def _shard_fingerprint(job: Dict) -> Dict:
     }
 
 
-def run_mc_shard(job: Dict, die_range) -> Dict:
+def run_mc_shard(job: Dict, die_range, context=None) -> Dict:
     """Price one contiguous die range from a JSON job spec.
 
-    Returns a JSON-safe shard payload (``fingerprint`` + ``die_range``
-    + the :meth:`PopulationReductions.to_payload` planes as lists);
+    ``context`` (default: a fresh default-technology context) supplies
+    the technology, config and optional store; its characterization
+    length must match the job's.  Returns a JSON-safe shard payload
+    (``fingerprint`` + ``die_range`` + the
+    :meth:`PopulationReductions.to_payload` planes as lists);
     :func:`merge_mc_shards` fuses the shards back into the exact
     single-host result.
     """
@@ -200,9 +156,14 @@ def run_mc_shard(job: Dict, die_range) -> Dict:
     width = int(job.get("width", 8))
     kind = job.get("kind", "column")
     skip = _resolve_skip(width, job.get("skip"))
-    context = ExperimentContext(
-        characterize_patterns=int(job.get("characterize_patterns", 2000)),
-    )
+    patterns = int(job.get("characterize_patterns", 2000))
+    if context is None:
+        context = ExperimentContext(characterize_patterns=patterns)
+    elif context.characterize_patterns != patterns:
+        raise ConfigError(
+            "mc job characterizes with %d patterns but its context with"
+            " %d" % (patterns, context.characterize_patterns)
+        )
     factory, netlist, stimulus, zeros, clock_ns, _ = _pricing_inputs(
         spec, width, kind, context
     )
@@ -326,12 +287,16 @@ def run_montecarlo(
         width / kind: Target multiplier design.
         skip: AHL Skip-n the latency/yield surfaces assume (default
             ``width // 2 - 1``, the architecture's default).
-        jobs: Die-axis worker processes (1 = serial in-process; any
-            value yields bit-identical results).
+        jobs: Die-axis worker processes (1 = serial in-process; N > 1
+            is shorthand for ``pool=LocalPool(N)``; any value yields
+            bit-identical results).
         store: Optional persistent artifact store; priced populations
             and surfaces are fingerprint-keyed there.
         context: Optional shared experiment context (its store wins
             over ``store``; its technology/config win too).
+        pool: Optional :class:`~repro.distrib.pool.WorkerPool` that
+            prices die shards as ``mc_shard`` jobs under this run's
+            context spec.
 
     Returns:
         The population's :class:`~repro.montecarlo.analytics
@@ -353,6 +318,8 @@ def run_montecarlo(
         )
     if jobs < 1:
         raise ConfigError("jobs must be >= 1, got %r" % (jobs,))
+    if jobs > 1 and pool is not None:
+        raise ConfigError("pass either jobs > 1 or a pool, not both")
     skip = _resolve_skip(width, skip)
     if isinstance(store, str):
         store = ArtifactStore(store)
@@ -368,14 +335,6 @@ def run_montecarlo(
         config = context.config
         characterize_patterns = context.characterize_patterns
         store = context.store
-    if pool is not None and (
-        technology is not DEFAULT_TECHNOLOGY
-        or config is not DEFAULT_SIM_CONFIG
-    ):
-        raise ConfigError(
-            "distributed MC shards rebuild state from a JSON job spec,"
-            " which only carries the default technology/config"
-        )
 
     # Base clock period inputs: the population-free fresh critical path
     # over this stimulus (a ones-row replay on the shared value plane).
@@ -401,26 +360,33 @@ def run_montecarlo(
             reductions = PopulationReductions.from_payload(payload)
 
     if reductions is None:
-        sampler = CorrelatedVthSampler(len(netlist.cells), spec)
-        if pool is not None and spec.num_dies > 1:
-            from ..distrib.pool import run_mc_pooled
+        if spec.num_dies > 1 and (jobs > 1 or pool is not None):
+            from ..distrib.pool import LocalPool, run_mc_pooled
 
             job = mc_job_spec(
                 spec, width, kind, skip, characterize_patterns
             )
-            payloads = run_mc_pooled(
-                pool, job, shard_ranges(spec.num_dies, pool.size)
-            )
+            shard_pool = pool or LocalPool(min(jobs, spec.num_dies))
+            try:
+                payloads = run_mc_pooled(
+                    shard_pool,
+                    job,
+                    shard_ranges(spec.num_dies, shard_pool.size),
+                    context.to_spec(),
+                )
+            finally:
+                if shard_pool is not pool:
+                    shard_pool.close()
             reductions = PopulationReductions.concat([
                 PopulationReductions.from_payload(
                     {"meta": p["meta"], "arrays": p["arrays"]}
                 )
                 for p in payloads
             ])
-        elif jobs == 1 or spec.num_dies == 1:
+        else:
             reductions = price_population(
                 factory,
-                sampler,
+                CorrelatedVthSampler(len(netlist.cells), spec),
                 spec,
                 stimulus,
                 zeros,
@@ -429,18 +395,6 @@ def run_montecarlo(
                 clock_ns,
                 config=config,
             )
-        else:
-            ranges = shard_ranges(spec.num_dies, jobs)
-            with ProcessPoolExecutor(
-                max_workers=len(ranges),
-                initializer=_init_mc_worker,
-                initargs=(
-                    netlist, factory.stress, technology, spec, stimulus,
-                    zeros, width, skip, clock_ns, config,
-                ),
-            ) as executor:
-                shards = list(executor.map(_price_shard, ranges))
-            reductions = PopulationReductions.concat(shards)
         if store is not None:
             store.save("population", key, reductions.to_payload())
 

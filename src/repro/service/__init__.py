@@ -10,8 +10,8 @@ degradation instead of connection failures.
 
 Run it::
 
-    python -m repro.service serve --store .repro-store
-    python -m repro.service query --width 16 --kind column --years 0,10
+    python -m repro service serve --store .repro-store
+    python -m repro service query --width 16 --kind column --years 0,10
 
 See DESIGN.md section 13 for the architecture and the degradation
 matrix.

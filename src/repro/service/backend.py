@@ -7,20 +7,18 @@ so netlists / stress profiles / stream results persist across queries
 *and* server restarts) whose ``stream_results`` prices every requested
 aging point of one design in a single batched arrival replay.
 
-The backend runs those computations in a ``ProcessPoolExecutor`` --
-the same one-context-per-worker idiom as the suite scheduler -- so a
-crashing worker kills a process, not the server.  A broken pool is
-detected, rebuilt, and surfaced to the serving layer as a typed
-:class:`~repro.errors.BackendCrashError`; the serving layer turns that
-into a degraded response instead of a dropped connection.
+The backend submits each computation as a JSON ``query`` job (see
+:mod:`repro.distrib.jobs`) to a :class:`~repro.distrib.pool.LocalPool`,
+whose workers cache one context per context spec -- so a crashing
+worker kills a process, not the server.  The pool rebuilds itself after
+a worker death and answers with a crash envelope, which the backend
+surfaces as a typed :class:`~repro.errors.BackendCrashError`; the
+serving layer turns that into a degraded response instead of a dropped
+connection.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -102,63 +100,20 @@ def compute_direct(
     """The exact records the service would serve, computed in-process.
 
     This is the identity oracle: CI compares served responses byte-wise
-    against this function's output (``python -m repro.service direct``).
+    against this function's output (``python -m repro service direct``).
     """
     ctx = context or build_context(store_dir, characterize_patterns)
     return compute_batch(ctx, spec)
 
 
-# ----------------------------------------------------------------------
-# Worker-process side (ships once through the pool initializer).
-# ----------------------------------------------------------------------
-
-_WORKER_CONTEXT: Optional[ExperimentContext] = None
-_WORKER_TESTING = False
-
-
-def _init_backend_worker(
-    technology, config, characterize_patterns, store_dir, testing_hooks,
-) -> None:
-    global _WORKER_CONTEXT, _WORKER_TESTING
-    _WORKER_CONTEXT = build_context(
-        store_dir,
-        characterize_patterns,
-        technology=technology,
-        config=config,
-    )
-    _WORKER_TESTING = bool(testing_hooks)
-
-
-def _apply_inject(inject: Optional[str]) -> None:
-    """Deterministic failure injection for tests/CI -- honored only in
-    workers started with ``testing_hooks=True``."""
-    if not inject or not _WORKER_TESTING:
-        return
-    if inject == "crash":
-        os._exit(3)
-    if inject.startswith("sleep:"):
-        time.sleep(float(inject.split(":", 1)[1]))
-
-
-def _backend_batch(payload: Dict) -> List[Dict]:
-    _apply_inject(payload.get("inject"))
-    spec = QuerySpec(
-        width=payload["width"],
-        kind=payload["kind"],
-        years=tuple(payload["years"]),
-        num_patterns=payload["num_patterns"],
-        seed=payload["seed"],
-        cycle_ns=payload["cycle_ns"],
-    )
-    return compute_batch(_WORKER_CONTEXT, spec)
-
-
 class Backend:
-    """Process-pool wrapper with crash detection and rebuild.
+    """The service's compute pool: ``query`` jobs on a
+    :class:`~repro.distrib.pool.LocalPool`, which rebuilds itself when a
+    worker dies.
 
     Attributes:
-        crashes: Broken-pool incidents survived so far (each one
-            rebuilt the pool).
+        crashes: Worker deaths survived so far (each one rebuilt the
+            pool).
     """
 
     def __init__(
@@ -170,43 +125,26 @@ class Backend:
         config=DEFAULT_SIM_CONFIG,
         testing_hooks: bool = False,
     ):
-        self.store_dir = store_dir
-        self.workers = max(1, int(workers))
-        self.characterize_patterns = characterize_patterns
-        self.technology = technology
-        self.config = config
-        self.testing_hooks = testing_hooks
-        self.crashes = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
+        # Local import: repro.distrib.pool imports this package's
+        # protocol module, so the edge must stay lazy.
+        from ..distrib.pool import LocalPool
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_backend_worker,
-                initargs=(
-                    self.technology,
-                    self.config,
-                    self.characterize_patterns,
-                    self.store_dir,
-                    self.testing_hooks,
-                ),
-            )
-        return self._pool
+        self.context = build_context(
+            store_dir, characterize_patterns, technology, config
+        ).to_spec()
+        self.pool = LocalPool(max(1, int(workers)), testing_hooks)
 
-    def reset(self) -> None:
-        """Tear down a (possibly broken) pool; the next call rebuilds."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+    @property
+    def crashes(self) -> int:
+        return self.pool.crashes
 
     def close(self) -> None:
-        self.reset()
+        self.pool.close()
 
     async def run(
         self, spec: QuerySpec, inject: Optional[str] = None
     ) -> List[Dict]:
-        """Price ``spec`` in a worker; typed errors on pool death.
+        """Price ``spec`` in a worker; typed errors on failure.
 
         Raises:
             BackendCrashError: A worker died (killed / segfault); the
@@ -215,22 +153,24 @@ class Backend:
         """
         import asyncio
 
-        payload = spec.to_payload()
-        payload["inject"] = inject
-        pool = self._ensure_pool()
+        request = {
+            "job": "query",
+            "query": spec.to_payload(),
+            "context": self.context,
+            "inject": inject,
+        }
         loop = asyncio.get_running_loop()
-        try:
-            return await loop.run_in_executor(
-                pool, _backend_batch, payload
-            )
-        except BrokenProcessPool as exc:
-            self.crashes += 1
-            self.reset()
+        response = await loop.run_in_executor(
+            None, self.pool.submit, request
+        )
+        if response.get("crash"):
             raise BackendCrashError(
                 "backend worker died pricing %s (pool rebuilt): %s"
-                % (spec.group_key(), exc)
-            ) from exc
-        except Exception as exc:
+                % (spec.group_key(), response["error"])
+            )
+        if not response["ok"]:
             raise ServiceError(
-                "backend failed pricing %s: %s" % (spec.group_key(), exc)
-            ) from exc
+                "backend failed pricing %s: %s"
+                % (spec.group_key(), response["error"])
+            )
+        return response["result"]["records"]

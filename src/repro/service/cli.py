@@ -2,12 +2,12 @@
 
 Usage::
 
-    python -m repro.service serve --store .repro-store --port 7753
-    python -m repro.service query --port 7753 --width 16 --kind column \\
+    python -m repro service serve --store .repro-store --port 7753
+    python -m repro service query --port 7753 --width 16 --kind column \\
         --years 0,5,10 --patterns 2000 --cycle-ns 6.5
-    python -m repro.service direct --store .repro-store --width 16 \\
+    python -m repro service direct --store .repro-store --width 16 \\
         --kind column --years 0,5,10 --patterns 2000 --cycle-ns 6.5
-    python -m repro.service bench --json BENCH_service.json
+    python -m repro service bench --json BENCH_service.json
 
 ``query`` talks to a running server; ``direct`` computes the identical
 records in-process (the identity oracle CI ``cmp``'s served responses
@@ -73,7 +73,7 @@ def _spec_from_args(args) -> QuerySpec:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.service",
+        prog="python -m repro service",
         description="Aging-aware reliability query service.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -229,9 +229,4 @@ def _cmd_bench(args) -> int:
 
 
 if __name__ == "__main__":
-    print(
-        "note: 'python -m repro.service' is deprecated; use"
-        " 'python -m repro service' (same arguments)",
-        file=sys.stderr,
-    )
     sys.exit(main())

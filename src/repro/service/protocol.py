@@ -157,7 +157,7 @@ class QuerySpec:
         return dataclasses.replace(self, years=tuple(years))
 
     def to_payload(self) -> Dict:
-        """A picklable dict shipped to backend workers."""
+        """The JSON dict a backend ``query`` job carries."""
         return {
             "width": self.width,
             "kind": self.kind,

@@ -74,7 +74,8 @@ class ServiceConfig:
     #: Applied when a request carries no ``deadline_ms`` (None: wait).
     default_deadline_ms: Optional[float] = None
     #: Enables the ``inject`` request field (deterministic crash/sleep
-    #: used by tests and the CI degraded-path checks).
+    #: used by tests and the CI degraded-path checks); the backend's
+    #: LocalPool carries it to its own workers only.
     testing_hooks: bool = False
 
 

@@ -19,9 +19,7 @@ per-die delay-scale arrays; ``ext`` users combine them with
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import math
-import warnings
 from typing import Dict, Iterator, Optional
 
 import numpy as np
@@ -167,30 +165,13 @@ class YieldReport:
         )
 
 
-#: Legacy keyword defaults of :func:`yield_analysis` (pre-spec API).
-_LEGACY_DEFAULTS = {
-    "num_dies": 25,
-    "num_patterns": 2000,
-    "variation": None,
-    "seed": 11,
-}
-
-
-def yield_analysis(
-    architecture,
-    spec=None,
-    years: float = 0.0,
-    **legacy,
-) -> YieldReport:
+def yield_analysis(architecture, spec, years: float = 0.0) -> YieldReport:
     """Monte-Carlo the architecture across sampled dies.
 
-    Preferred calling convention: pass a :class:`~repro.montecarlo.spec
-    .MonteCarloSpec` -- its die count, pattern count, seed and sigma
-    split (via :meth:`ProcessVariation.from_spec`) configure the sweep;
-    ``years`` selects the single aging point this report evaluates.
-    The legacy keywords (``num_dies``, ``num_patterns``, ``variation``,
-    ``seed``) still work for one release behind a
-    ``DeprecationWarning``.
+    The :class:`~repro.montecarlo.spec.MonteCarloSpec`'s die count,
+    pattern count, seed and sigma split (via
+    :meth:`ProcessVariation.from_spec`) configure the sweep; ``years``
+    selects the single aging point this report evaluates.
 
     Every die shares the workload; a die is *feasible* when no operation
     blew the two-cycle budget (the Razor safety envelope held).
@@ -200,50 +181,10 @@ def yield_analysis(
     :class:`~repro.timing.replay.ArrivalReplay` over the ``num_dies``
     corner axis -- bit-identical to compiling and running each die.
     """
-    if isinstance(spec, int):
-        # Positional legacy call: yield_analysis(arch, 25, ...).
-        legacy.setdefault("num_dies", spec)
-        spec = None
-    unknown = set(legacy) - set(_LEGACY_DEFAULTS)
-    if unknown:
-        name = sorted(unknown)[0]
-        close = difflib.get_close_matches(
-            name, sorted(_LEGACY_DEFAULTS), n=1
-        )
-        raise ConfigError(
-            "yield_analysis() got unexpected keyword(s): %s%s"
-            % (
-                sorted(unknown),
-                " -- did you mean %r?" % close[0] if close else "",
-            )
-        )
-    if spec is not None:
-        if legacy:
-            raise ConfigError(
-                "pass either a MonteCarloSpec or the legacy keywords"
-                " (%s), not both" % sorted(legacy)
-            )
-        num_dies = spec.num_dies
-        num_patterns = spec.num_patterns
-        seed = spec.seed
-        variation = ProcessVariation.from_spec(
-            spec, architecture.technology
-        )
-    else:
-        if legacy:
-            warnings.warn(
-                "yield_analysis(num_dies=..., num_patterns=...,"
-                " variation=..., seed=...) is deprecated; pass a"
-                " repro.MonteCarloSpec instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        merged = dict(_LEGACY_DEFAULTS)
-        merged.update(legacy)
-        num_dies = merged["num_dies"]
-        num_patterns = merged["num_patterns"]
-        seed = merged["seed"]
-        variation = merged["variation"] or ProcessVariation()
+    num_dies = spec.num_dies
+    num_patterns = spec.num_patterns
+    seed = spec.seed
+    variation = ProcessVariation.from_spec(spec, architecture.technology)
     netlist = architecture.netlist
     rng = np.random.default_rng(seed)
     high = 1 << architecture.width

@@ -21,6 +21,7 @@ from repro.aging.degradation import AgedCircuitFactory
 from repro.arith import column_bypass_multiplier
 from repro.config import DEFAULT_TECHNOLOGY
 from repro.core import AgingAwareMultiplier
+from repro.distrib.pool import make_batches
 from repro.errors import CampaignInterrupted, CheckpointError, FaultError
 from repro.faults import (
     CheckpointStore,
@@ -28,10 +29,23 @@ from repro.faults import (
     InjectionCampaign,
     StuckAtFault,
     TransientBitFlip,
-    make_batches,
-    run_sharded,
+    campaign_from_spec,
     unique_site_ids,
 )
+
+#: The shared campaign: 16 sites x 150 patterns on the 8-bit
+#: column-bypass design, clocked at 0.6x its critical path.
+CAMPAIGN_SPEC = {
+    "width": 8,
+    "kind": "column",
+    "skip": 3,
+    "cycle_fraction": 0.6,
+    "sites": 16,
+    "patterns": 150,
+    "seed": 2,
+    "years": 0.0,
+    "characterize_patterns": 300,
+}
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +57,9 @@ def arch8():
 
 
 @pytest.fixture(scope="module")
-def campaign(arch8):
-    return InjectionCampaign.sweep(
-        arch8, num_sites=16, num_patterns=150, seed=2
-    )
+def campaign():
+    """Built from a spec, so parallel runs can rebuild it in workers."""
+    return campaign_from_spec(CAMPAIGN_SPEC)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +80,16 @@ class TestSiteIds:
         ids = unique_site_ids([fault, StuckAtFault(6, 0), fault, fault])
         assert ids == ["sa0:n5", "sa0:n6", "sa0:n5#1", "sa0:n5#2"]
         assert len(set(ids)) == len(ids)
+
+    def test_spec_campaign_equals_direct_sweep(self, campaign, arch8):
+        """The spec-built fixture is the same campaign as a direct
+        sweep over the same architecture."""
+        direct = InjectionCampaign.sweep(
+            arch8, num_sites=16, num_patterns=150, seed=2
+        )
+        assert campaign.fingerprint() == direct.fingerprint()
+        assert campaign.site_ids == direct.site_ids
+        assert direct.spec is None
 
     def test_campaign_ids_match_faults(self, campaign):
         assert len(campaign.site_ids) == len(campaign.faults)
@@ -97,10 +120,6 @@ class TestShardedIdentity:
         assert make_batches([], workers=4) == []
         with pytest.raises(FaultError):
             make_batches(pending, workers=4, chunk_size=0)
-
-    def test_run_sharded_requires_two_workers(self, campaign):
-        with pytest.raises(FaultError):
-            run_sharded(campaign, [0], workers=1)
 
     def test_bad_worker_count_rejected(self, campaign):
         with pytest.raises(FaultError):
@@ -373,7 +392,7 @@ class TestSerialization:
 
 class TestCli:
     def test_run_and_resume(self, tmp_path, capsys):
-        from repro.faults.__main__ import main
+        from repro.faults.cli import main
 
         path = str(tmp_path / "cp.jsonl")
         args = [
@@ -390,7 +409,7 @@ class TestCli:
         assert os.path.exists(path)
 
     def test_listing_without_command(self, capsys):
-        from repro.faults.__main__ import main
+        from repro.faults.cli import main
 
         assert main([]) == 0
         assert "run" in capsys.readouterr().out

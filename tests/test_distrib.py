@@ -247,16 +247,19 @@ class TestCampaignSharding:
             merge_campaign_shards(campaign_from_spec(CAMPAIGN_SPEC), [path])
 
     def test_pool_requires_spec(self):
-        campaign = campaign_from_spec(CAMPAIGN_SPEC)
-        with pytest.raises(FaultError, match="pool_spec"):
+        from repro.faults.campaign import InjectionCampaign
+
+        built = campaign_from_spec(CAMPAIGN_SPEC)
+        campaign = InjectionCampaign(
+            built.architecture, built.faults, num_patterns=80, seed=7
+        )
+        with pytest.raises(FaultError, match="spec"):
             campaign.run(pool=LocalPool(1))
 
     def test_local_pool_byte_identical(self, serial_campaign):
         _, expected = serial_campaign
         with LocalPool(2) as pool:
-            pooled = campaign_from_spec(CAMPAIGN_SPEC).run(
-                pool=pool, pool_spec=dict(CAMPAIGN_SPEC)
-            )
+            pooled = campaign_from_spec(CAMPAIGN_SPEC).run(pool=pool)
         assert _campaign_json(pooled) == expected
 
 
@@ -357,9 +360,7 @@ class TestTcpTransport:
     def test_campaign_byte_identical(self, tcp_servers, serial_campaign):
         _, expected = serial_campaign
         pool = TcpPool(tcp_servers)
-        pooled = campaign_from_spec(CAMPAIGN_SPEC).run(
-            pool=pool, pool_spec=dict(CAMPAIGN_SPEC)
-        )
+        pooled = campaign_from_spec(CAMPAIGN_SPEC).run(pool=pool)
         assert _campaign_json(pooled) == expected
 
     def test_unreachable_worker_is_typed(self):
@@ -373,18 +374,13 @@ class TestManifestTransport:
         _, expected = serial_campaign
         directory = str(tmp_path / "shared")
         pool = ManifestPool(directory)
-        spec = dict(CAMPAIGN_SPEC)
         with pytest.raises(ManifestPending) as info:
-            campaign_from_spec(CAMPAIGN_SPEC).run(
-                pool=pool, pool_spec=spec
-            )
+            campaign_from_spec(CAMPAIGN_SPEC).run(pool=pool)
         assert info.value.directory == directory
         assert info.value.missing > 0
         executed = execute_manifest(directory)
         assert executed == info.value.missing
-        pooled = campaign_from_spec(CAMPAIGN_SPEC).run(
-            pool=pool, pool_spec=spec
-        )
+        pooled = campaign_from_spec(CAMPAIGN_SPEC).run(pool=pool)
         assert _campaign_json(pooled) == expected
 
     def test_claims_prevent_double_execution(self, tmp_path):
@@ -409,13 +405,13 @@ class TestSuitePooled:
             def map(self, requests):
                 return [local_worker(request) for request in requests]
 
-        responses = run_suite_pooled(
+        responses = dict(run_suite_pooled(
             OneShotPool(),
             [
                 {"job": "ping"},
                 {"job": "experiment", "name": "no-such-experiment"},
             ],
-        )
+        ))
         assert responses[0] == {"pong": True}
         assert "error" in responses[1]
 
@@ -456,7 +452,7 @@ class TestLegacyKernelKey:
 
 class TestCliPlumbing:
     def test_faults_parser_accepts_distrib_flags(self):
-        from repro.faults.__main__ import make_parser
+        from repro.faults.cli import make_parser
 
         args = make_parser().parse_args(
             ["run", "--shard", "2/4", "--pool", "local:2"]
@@ -465,7 +461,7 @@ class TestCliPlumbing:
         assert args.pool == "local:2"
 
     def test_faults_parser_rejects_bad_shard(self, capsys):
-        from repro.faults.__main__ import make_parser
+        from repro.faults.cli import make_parser
 
         with pytest.raises(SystemExit):
             make_parser().parse_args(["run", "--shard", "3/2"])

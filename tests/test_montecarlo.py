@@ -404,18 +404,17 @@ class TestUnifiedCLI:
         assert data["num_dies"] == 3
 
     def test_legacy_shim_importable(self):
-        """The deprecated per-module entry points must keep their
-        main() callables (the shim only adds a stderr note)."""
-        from repro.experiments.__main__ import main as experiments_main
-        from repro.faults.__main__ import main as faults_main
+        """The sub-CLI modules the dispatcher imports keep their main()
+        callables."""
+        from repro.experiments.cli import main as experiments_main
+        from repro.faults.cli import main as faults_main
 
         assert callable(experiments_main)
         assert callable(faults_main)
 
 
 class TestYieldAnalysisSpec:
-    """yield_analysis accepts a MonteCarloSpec; legacy kwargs survive
-    behind a deprecation wrapper."""
+    """yield_analysis takes a MonteCarloSpec."""
 
     @pytest.fixture(scope="class")
     def arch(self):
@@ -432,22 +431,6 @@ class TestYieldAnalysisSpec:
         report = yield_analysis(arch, spec)
         assert isinstance(report, YieldReport)
         assert report.num_dies == 5
-
-    def test_legacy_kwargs_deprecated(self, arch):
-        with pytest.deprecated_call():
-            report = yield_analysis(
-                arch, num_dies=4, num_patterns=200, seed=31
-            )
-        assert report.num_dies == 4
-
-    def test_spec_plus_legacy_rejected(self, arch):
-        spec = MonteCarloSpec.from_overrides(num_dies=4)
-        with pytest.raises(ConfigError):
-            yield_analysis(arch, spec, num_dies=4)
-
-    def test_unknown_legacy_kwarg(self, arch):
-        with pytest.raises(ConfigError, match="num_dies"):
-            yield_analysis(arch, num_dise=4)
 
     def test_from_spec_scales_sigmas(self):
         spec = MonteCarloSpec.from_overrides(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.report import ClaimCheck, ReproductionReport
 from repro.errors import SimulationError
-from repro.experiments.__main__ import main as experiments_main
+from repro.experiments.cli import main as experiments_main
 
 
 class TestReproductionReport:

@@ -192,5 +192,35 @@ class TestRunSuiteParallel:
             jobs=2,
             on_result=lambda entry: seen.append(entry.name),
         )
-        assert result.store_dir is None  # temp store, already removed
+        assert result.store_dir is None  # no store was given
         assert seen == list(SUBSET)  # emission stays in request order
+
+    def test_jobs_and_pool_together_rejected(self):
+        from repro.distrib.pool import LocalPool
+
+        with LocalPool(1) as pool, pytest.raises(ConfigError):
+            run_suite(names=SUBSET, jobs=2, pool=pool)
+
+    def test_pooled_runs_share_the_store(self, tmp_path):
+        """Pooled workers open the run's store and report their counter
+        deltas back: a second pooled run is served from the store."""
+        from repro.distrib.pool import LocalPool
+        from repro.experiments.store import delta_totals
+
+        store_dir = str(tmp_path / "store")
+        runs = []
+        for _ in range(2):
+            with LocalPool(2) as pool:
+                runs.append(run_suite(
+                    names=SUBSET,
+                    scale=SCALE,
+                    characterize_patterns=CHAR_PATTERNS,
+                    store=ArtifactStore(store_dir),
+                    pool=pool,
+                ))
+        cold, warm = runs
+        assert cold.store_dir == warm.store_dir == store_dir
+        assert delta_totals(cold.store_counters)["writes"] > 0
+        totals = delta_totals(warm.store_counters)
+        assert totals["misses"] == 0 and totals["hits"] > 0
+        assert cold.rendered_by_name() == warm.rendered_by_name()

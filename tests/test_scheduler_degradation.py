@@ -12,7 +12,7 @@ The injected specs live in :mod:`repro.experiments._testing`; setting
 
 import pytest
 
-from repro.experiments import __main__ as experiments_cli
+from repro.experiments import cli as experiments_cli
 from repro.experiments._testing import register_test_experiments
 from repro.experiments.scheduler import run_suite
 

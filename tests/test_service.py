@@ -19,7 +19,7 @@ from repro.service.protocol import (
     encode,
     ok_response,
 )
-from repro.service import __main__ as service_cli
+from repro.service import cli as service_cli
 
 # Small-but-real knobs: an 8-bit design characterized with few patterns
 # keeps the whole end-to-end pass in seconds.
