@@ -26,12 +26,7 @@ import os
 import tempfile
 
 from repro import RecoveryExhaustedError
-from repro.faults import (
-    DelayFault,
-    InjectionCampaign,
-    campaign_from_spec,
-    compile_with_faults,
-)
+from repro.faults import DelayFault, InjectionCampaign, campaign_from_spec
 
 WIDTH = 8
 SITES = 60
@@ -88,9 +83,10 @@ def main():
     # A hot-spot the AHL *can* answer: extra delay on one cell raises
     # the error rate, the indicator trips, Skip-(n+1) sheds the errors.
     hot = DelayFault(len(mult.netlist.cells) // 2, 0.9 * mult.cycle_ns)
-    site, _ = InjectionCampaign(
+    hot_campaign = InjectionCampaign(
         mult, [hot], num_patterns=PATTERNS, seed=7
-    ).run_site(hot)
+    )
+    site, _ = hot_campaign.run_site(hot)
     switch = (
         "op %d" % site.indicator_aged_at
         if site.indicator_aged_at >= 0
@@ -105,12 +101,11 @@ def main():
 
     # Under the strict policy the same hot-spot is a hard stop as soon
     # as an arrival overruns what Razor + two-cycle execution can fix.
-    stream = compile_with_faults(mult.netlist, [hot], mult.technology).run(
-        {"md": campaign.md, "mr": campaign.mr}
-    )
+    stream = hot_campaign.site_stream(hot)
     try:
         mult.run_patterns(
-            campaign.md, campaign.mr, stream=stream, policy="strict"
+            hot_campaign.md, hot_campaign.mr, stream=stream,
+            policy="strict",
         )
         print("strict policy: clean (no unrecoverable overruns)")
     except RecoveryExhaustedError as exc:

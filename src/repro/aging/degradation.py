@@ -333,11 +333,7 @@ class AgedCircuitFactory:
         if scales.shape[0] == 0:
             return []
         plan = None
-        if (
-            fold
-            and not collect_net_stats
-            and not self.circuit(0.0).fault_hooks
-        ):
+        if fold and not collect_net_stats:
             plan = fold_stimulus(stimulus)
             if not plan.profitable:
                 plan = None

@@ -16,26 +16,20 @@ parameters (:func:`repro.faults.campaign.campaign_from_spec`,
 caches it per process, so any host with this repo checked out can serve
 jobs.
 
-Three pool flavours, selected by ``--pool SPEC``:
+Two pool flavours, selected by ``--pool SPEC``:
 
 * ``local:N`` -- :class:`~.pool.LocalPool`, the package's only process
   pool (``--jobs N`` / ``workers=N`` everywhere mean ``local:N``); it
   rebuilds itself and isolates a crashing job when a worker dies;
 * ``tcp:host:port,host:port`` -- :class:`~.pool.TcpPool`, newline-
   delimited JSON over sockets to ``python -m repro distrib worker``
-  daemons (framing shared with :mod:`repro.service.protocol`);
-* ``manifest:DIR`` -- :class:`~.pool.ManifestPool`, a two-phase
-  file-based flow for hosts that share only a directory (NFS, synced
-  artifacts): the driver stages request files, any number of
-  ``python -m repro distrib exec`` runs claim and execute them, and
-  re-running the driver merges the results.
+  daemons (framing shared with :mod:`repro.service.protocol`).
 
 See DESIGN.md section 15 for the protocol and merge invariants.
 """
 
 from .pool import (
     LocalPool,
-    ManifestPool,
     TcpPool,
     WorkerPool,
     parse_pool_spec,
@@ -46,7 +40,6 @@ from .pool import (
 
 __all__ = [
     "LocalPool",
-    "ManifestPool",
     "TcpPool",
     "WorkerPool",
     "parse_pool_spec",

@@ -4,12 +4,11 @@
 
     python -m repro distrib worker --host 0.0.0.0 --port 9100
     python -m repro distrib worker --port 0 --port-file /tmp/port
-    python -m repro distrib exec --manifest /shared/campaign
     python -m repro distrib ping --pool tcp:hostA:9100,hostB:9100
     python -m repro distrib shutdown --pool tcp:hostA:9100,hostB:9100
 
-``worker`` serves jobs over TCP until a shutdown op; ``exec`` drains
-staged manifest requests; ``ping``/``shutdown`` manage a TCP fleet.
+``worker`` serves jobs over TCP until a shutdown op; ``ping`` /
+``shutdown`` manage a TCP fleet.
 """
 
 from __future__ import annotations
@@ -37,17 +36,6 @@ def make_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--port-file", default=None,
         help="write the bound port here (harness handshake for --port 0)",
-    )
-
-    execute = sub.add_parser(
-        "exec", help="drain staged manifest requests"
-    )
-    execute.add_argument(
-        "--manifest", required=True,
-        help="shared manifest directory (the --pool manifest:DIR one)",
-    )
-    execute.add_argument(
-        "--quiet", action="store_true", help="no per-job progress lines"
     )
 
     for name, help_text in (
@@ -80,15 +68,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             from .worker import serve
 
             serve(args.host, args.port, args.port_file)
-            return 0
-        if args.command == "exec":
-            from .pool import execute_manifest
-
-            progress = None
-            if not args.quiet:
-                progress = lambda name: print("running %s" % name)
-            executed = execute_manifest(args.manifest, progress=progress)
-            print("executed %d job(s)" % executed)
             return 0
         if args.command == "ping":
             pool = _tcp_pool(args.pool)

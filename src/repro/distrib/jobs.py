@@ -1,7 +1,7 @@
 """Worker-side job execution.
 
-Every transport (:class:`~.pool.LocalPool` processes, ``distrib
-worker`` TCP daemons, ``distrib exec`` manifest runners) funnels into
+Every transport (:class:`~.pool.LocalPool` processes and ``distrib
+worker`` TCP daemons) funnels into
 :func:`run_job`: one JSON request dict in, one JSON-able result dict
 out.  Heavy state -- characterized campaigns, experiment contexts --
 is rebuilt deterministically from the spec and cached per process
@@ -41,8 +41,8 @@ Job kinds:
     :func:`repro.service.backend.compute_batch`.  Result:
     ``{"records": [...]}``.  An ``"inject"`` field (``"crash"`` /
     ``"sleep:S"``) is honoured only under ``testing_hooks``, which only
-    a :class:`~.pool.LocalPool` built with it passes; TCP daemons and
-    manifest executors ignore it.
+    a :class:`~.pool.LocalPool` built with it passes; TCP daemons
+    ignore it.
 
 ``variant_shard``
     ``{"job": "variant_shard", "sweep": {...}, "engine": "delta",

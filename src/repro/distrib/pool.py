@@ -1,19 +1,16 @@
-"""Worker pools: one JSON job protocol, three transports.
+"""Worker pools: one JSON job protocol, two transports.
 
 Every pool takes JSON job requests (see :mod:`repro.distrib.jobs`) and
 returns response envelopes ``{"ok": true, "result": {...}}`` /
 ``{"ok": false, "error": "..."}``.  The envelope is produced by the
-worker side (:func:`local_worker` in-process, the TCP daemon, or the
-manifest executor), so driver-side handling is transport-agnostic.
+worker side (:func:`local_worker` in-process or the TCP daemon), so
+driver-side handling is transport-agnostic.
 
 Pools are selected from one CLI string by :func:`parse_pool_spec`:
 
 * ``local:4`` -- four local worker processes;
 * ``tcp:hostA:9100,hostB:9100`` -- round-robin over running
-  ``python -m repro distrib worker`` daemons;
-* ``manifest:/shared/dir`` (optionally ``manifest:/shared/dir:N`` for
-  ``N`` logical shards) -- stage request files and merge results
-  produced by ``python -m repro distrib exec`` runs.
+  ``python -m repro distrib worker`` daemons.
 
 :class:`LocalPool` is the only place in the package that builds a
 process pool, and it owns worker-crash degradation for every caller.
@@ -36,13 +33,11 @@ from typing import Callable, Dict, Iterator, List, Optional
 from typing import Sequence, Tuple
 
 from ..errors import ConfigError, DistribError, FaultError
-from ..errors import ManifestPending
 from ..service.protocol import decode, encode
-from ..util.atomic import atomic_write
 from .jobs import run_job
 
 #: Pool schemes :func:`parse_pool_spec` understands.
-POOL_SCHEMES = ("local", "tcp", "manifest")
+POOL_SCHEMES = ("local", "tcp")
 
 #: Seconds to wait for a TCP connect (job execution itself is
 #: unbounded -- characterizing a wide design legitimately takes long).
@@ -313,121 +308,11 @@ class TcpPool(WorkerPool):
         return answered
 
 
-class ManifestPool(WorkerPool):
-    """Two-phase execution through a shared directory.
-
-    Phase 1 (driver): :meth:`map` stages every request as
-    ``DIR/requests/job-NNNN.json`` and raises
-    :class:`~repro.errors.ManifestPending` while results are missing.
-    Phase 2 (any hosts): ``python -m repro distrib exec --manifest DIR``
-    claims requests (atomic ``O_EXCL`` claim files) and writes
-    ``DIR/results/job-NNNN.json`` envelopes.  Re-running the driver
-    command then finds every result and completes the merge.
-
-    Staging is idempotent: the request files are a pure function of the
-    (deterministic) job list, so re-runs overwrite identical bytes.
-    """
-
-    def __init__(self, directory: str, size: int = 2):
-        if size < 1:
-            raise ConfigError(
-                "manifest pool needs >= 1 shard, got %d" % size
-            )
-        self.directory = directory
-        self.size = int(size)
-
-    def _subdir(self, name: str) -> str:
-        path = os.path.join(self.directory, name)
-        os.makedirs(path, exist_ok=True)
-        return path
-
-    @staticmethod
-    def _job_name(index: int) -> str:
-        return "job-%04d.json" % index
-
-    def map(self, requests: Sequence[Dict]) -> List[Dict]:
-        requests_dir = self._subdir("requests")
-        results_dir = self._subdir("results")
-        for i, request in enumerate(requests):
-            path = os.path.join(requests_dir, self._job_name(i))
-            with atomic_write(path) as stream:
-                stream.write(encode(request))
-        responses: List[Dict] = []
-        missing: List[str] = []
-        for i in range(len(requests)):
-            path = os.path.join(results_dir, self._job_name(i))
-            if os.path.exists(path):
-                with open(path, "rb") as stream:
-                    responses.append(decode(stream.readline()))
-            else:
-                missing.append(self._job_name(i))
-        if missing:
-            raise ManifestPending(
-                "%d/%d manifest results missing under %s -- run"
-                " 'python -m repro distrib exec --manifest %s' on the"
-                " worker hosts, then re-run this command"
-                % (
-                    len(missing),
-                    len(requests),
-                    self.directory,
-                    self.directory,
-                ),
-                directory=self.directory,
-                missing=len(missing),
-            )
-        return responses
-
-
-def execute_manifest(
-    directory: str,
-    progress: Optional[Callable[[str], None]] = None,
-) -> int:
-    """Claim and execute staged manifest requests (worker side).
-
-    Multiple concurrent executors -- on the same or different hosts
-    sharing ``directory`` -- coordinate through ``O_CREAT | O_EXCL``
-    claim files, so every request runs exactly once.  Returns the
-    number of jobs this call executed.
-    """
-    requests_dir = os.path.join(directory, "requests")
-    if not os.path.isdir(requests_dir):
-        raise ConfigError(
-            "no manifest requests under %s (expected %s)"
-            % (directory, requests_dir)
-        )
-    results_dir = os.path.join(directory, "results")
-    claims_dir = os.path.join(directory, "claims")
-    os.makedirs(results_dir, exist_ok=True)
-    os.makedirs(claims_dir, exist_ok=True)
-    executed = 0
-    for name in sorted(os.listdir(requests_dir)):
-        if not name.endswith(".json"):
-            continue
-        if os.path.exists(os.path.join(results_dir, name)):
-            continue
-        claim = os.path.join(claims_dir, name + ".claim")
-        try:
-            fd = os.open(claim, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            continue
-        os.close(fd)
-        with open(os.path.join(requests_dir, name), "rb") as stream:
-            request = decode(stream.readline())
-        if progress is not None:
-            progress(name)
-        envelope = local_worker(request)
-        with atomic_write(os.path.join(results_dir, name)) as stream:
-            stream.write(encode(envelope))
-        executed += 1
-    return executed
-
-
 def parse_pool_spec(text: str) -> WorkerPool:
     """Build a pool from one CLI string (``--pool SPEC``).
 
     * ``local:N``
     * ``tcp:host:port[,host:port...]``
-    * ``manifest:DIR`` or ``manifest:DIR:N`` (N logical shards)
     """
     scheme, _, rest = str(text).partition(":")
     if scheme == "local":
@@ -453,16 +338,6 @@ def parse_pool_spec(text: str) -> WorkerPool:
                     "tcp pool port must be an int, got %r" % (port,)
                 ) from None
         return TcpPool(addresses)
-    if scheme == "manifest":
-        if not rest:
-            raise ConfigError(
-                "manifest pool spec must be 'manifest:DIR[:N]', got %r"
-                % (text,)
-            )
-        directory, sep, tail = rest.rpartition(":")
-        if sep and tail.isdigit():
-            return ManifestPool(directory, size=int(tail))
-        return ManifestPool(rest)
     import difflib
 
     hints = difflib.get_close_matches(scheme, POOL_SCHEMES, n=1)

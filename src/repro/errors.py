@@ -147,19 +147,3 @@ class WorkloadError(ReproError):
 class DistribError(ReproError):
     """A distributed worker-pool operation failed (unreachable worker,
     malformed response, job raised remotely, ...)."""
-
-
-class ManifestPending(DistribError):
-    """Manifest-pool jobs are written but their results are not all
-    present yet.
-
-    Not a failure: the driver has staged the request files; run
-    ``python -m repro distrib exec --manifest DIR`` on any number of
-    hosts sharing the directory, then re-run the original command to
-    merge the finished results.
-    """
-
-    def __init__(self, message, directory=None, missing=0):
-        self.directory = directory
-        self.missing = missing
-        super().__init__(message)

@@ -90,7 +90,7 @@ def main(argv=None) -> int:
         "--pool",
         metavar="SPEC",
         default=None,
-        help="worker pool: local:N, tcp:host:port,... or manifest:DIR"
+        help="worker pool: local:N or tcp:host:port,..."
         " (see 'python -m repro distrib')",
     )
     args = parser.parse_args(argv)

@@ -177,9 +177,8 @@ def run(
     )
     adaptive_run = run_design(adaptive)
     traditional_run = run_design(traditional)
-    pristine = InjectionCampaign(
-        adaptive, [], num_patterns=n, seed=seed, years=years
-    ).run_pristine()
+    # The sweep ran the adaptive design on this very workload.
+    pristine = campaign_result.baseline
 
     hotspot = HotSpotResponse(
         fault=hot,

@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--pool", default=None, metavar="SPEC",
-        help="worker pool: local:N, tcp:host:port,... or manifest:DIR",
+        help="worker pool: local:N or tcp:host:port,...",
     )
     parser.add_argument(
         "--chunk-size", type=int, default=None,

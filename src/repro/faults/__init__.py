@@ -3,8 +3,9 @@
 The reliability claim of the paper -- and of this reproduction's
 extensions -- is only testable against *faulty* silicon.  This package
 provides the three standard fault classes of the aging-monitor
-literature (stuck-at, transient bit-flip, delay hot-spot), applies them
-to compiled netlists through the timing engine's fault hooks, and runs
+literature (stuck-at, transient bit-flip, delay hot-spot), prices them
+as cone replays against one pristine simulation (value faults as net
+override rows, delay faults as perturbed delay-scale rows), and runs
 sweeping :class:`InjectionCampaign` s that measure what fraction of
 injected corruption the Razor bank detects and how the recovery
 policies absorb it.
@@ -39,11 +40,11 @@ from .campaign import (
 from .injector import (
     SITE_KINDS,
     build_fault_hooks,
-    compile_with_faults,
     em_fault_sites,
     enumerate_fault_sites,
     fault_delay_scale,
     fault_delay_scales,
+    value_overrides,
 )
 from .models import (
     DelayFault,
@@ -65,10 +66,10 @@ __all__ = [
     "TransientBitFlip",
     "build_fault_hooks",
     "campaign_from_spec",
-    "compile_with_faults",
     "em_fault_sites",
     "enumerate_fault_sites",
     "fault_delay_scale",
     "fault_delay_scales",
     "unique_site_ids",
+    "value_overrides",
 ]

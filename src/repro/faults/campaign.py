@@ -1,12 +1,16 @@
 """Fault-injection campaigns over the aging-aware architecture.
 
 An :class:`InjectionCampaign` sweeps a list of single-fault sites over
-one :class:`~repro.core.architecture.AgingAwareMultiplier`: for every
-site it compiles the faulty circuit, streams the same operands through
-it, feeds the faulty per-pattern delays and products through the healthy
-Razor/AHL control loop, and classifies every corrupted pattern as
-*detected* (Razor flagged it) or *silent* (the corruption arrived early
-enough to latch cleanly -- the coverage hole value faults exploit).
+one :class:`~repro.core.architecture.AgingAwareMultiplier`: it
+simulates the pristine design once into a
+:class:`~repro.timing.delta.DeltaBase`, prices every site as a cone
+replay against it (:func:`~repro.timing.delta.replay_delta`: a stuck-at
+or transient site is a net override row, a delay site a perturbed
+delay-scale row), feeds the faulty per-pattern delays and products
+through the healthy Razor/AHL control loop, and classifies every
+corrupted pattern as *detected* (Razor flagged it) or *silent* (the
+corruption arrived early enough to latch cleanly -- the coverage hole
+value faults exploit).
 
 The campaign never aborts mid-sweep: site runs execute under the
 architecture's configured recovery policy (``degrade`` by default), so
@@ -31,21 +35,21 @@ Campaign execution (this layer's production contract):
   :func:`campaign_from_spec` built it from, so only a campaign with a
   spec runs in parallel.  Operand streams and site enumeration are pure
   functions of that spec, SEU flip decisions are a stateless counter
-  hash of ``(fault seed, net, global pattern index)`` (which is why the
-  engine never folds a circuit carrying value-corrupting hooks), and
-  sites share no state, so the sharded sweep is bit-identical to the
-  serial one regardless of worker count, chunk boundaries or completion
-  order.
+  hash of ``(fault seed, net, global pattern index)``, and sites share
+  nothing but the pristine base (rebuilt once per worker), so the
+  sharded sweep is bit-identical to the serial one regardless of worker
+  count, batch boundaries or completion order.
 * **Graceful interruption** -- a SIGINT / :class:`KeyboardInterrupt`
   mid-sweep flushes the checkpoint and raises
   :class:`~repro.errors.CampaignInterrupted` carrying the partial
   :class:`CampaignResult`, so partial coverage is still reportable and
   the next ``run`` resumes where the sweep stopped.
-* **Logic-cone pruning** -- ``prune=True`` (default) skips simulating
+* **Logic-cone pruning** -- ``prune=True`` (default) skips replaying
   sites whose forward cone cannot reach any observed product bit
-  (:meth:`~repro.timing.engine.CompiledCircuit.output_reach_mask`);
-  such sites provably reproduce the baseline run, so their reports are
-  synthesized exactly (property-tested) at zero simulation cost.
+  (:meth:`~repro.timing.engine.CompiledCircuit.output_reach_mask`):
+  the empty-cone case, whose replay would return the base's own
+  outputs and delays, so their reports are synthesized exactly
+  (property-tested) at zero simulation cost.
 """
 
 from __future__ import annotations
@@ -62,10 +66,13 @@ from ..arith.reference import golden_products
 from ..core.architecture import AgingAwareMultiplier
 from ..core.stats import ArchitectureRunResult
 from ..errors import CampaignInterrupted, ConfigError, FaultError
+from ..timing.delta import DeltaBase, replay_delta
+from ..timing.engine import CompiledCircuit, StreamResult
 from .injector import (
-    compile_with_faults,
     em_fault_sites,
     enumerate_fault_sites,
+    fault_delay_scales,
+    value_overrides,
 )
 from .models import FaultModel
 
@@ -437,7 +444,7 @@ class InjectionCampaign:
         self._base_scale = (
             architecture.factory.delay_scale(years) if years else None
         )
-        self._pristine = None
+        self._base: Optional[DeltaBase] = None
         self.spec: Optional[Dict] = None
 
     @classmethod
@@ -532,47 +539,55 @@ class InjectionCampaign:
             "sites_digest": digest,
         }
 
-    def _pristine_circuit(self):
-        """The compiled fault-free circuit (cached; also serves the
-        logic-cone reachability masks)."""
-        if self._pristine is None:
-            self._pristine = compile_with_faults(
-                self.architecture.netlist,
-                [],
-                self.architecture.technology,
-                delay_scale=self._base_scale,
+    def delta_base(self) -> DeltaBase:
+        """The pristine simulation every site is replayed against: one
+        value pass (with transition rows) plus one arrival pass at the
+        campaign's aging point, built once per campaign (so once per
+        pool worker) and cached."""
+        if self._base is None:
+            arch = self.architecture
+            netlist = arch.netlist
+            scale = self._base_scale
+            if scale is None:
+                scale = np.ones(len(netlist.cells))
+            self._base = DeltaBase(
+                CompiledCircuit(netlist, arch.technology),
+                {"md": self.md, "mr": self.mr},
+                scale,
+                transitions=True,
             )
-        return self._pristine
+        return self._base
 
     def run_pristine(self) -> ArchitectureRunResult:
         """The fault-free reference run on the campaign workload."""
-        circuit = self._pristine_circuit()
-        stream = circuit.run(
-            {"md": self.md, "mr": self.mr}, chunk_size="auto", fold=True
-        )
         return self.architecture.run_patterns(
-            self.md, self.mr, years=self.years, stream=stream
+            self.md, self.mr, years=self.years,
+            stream=self.delta_base().result().stream_result(),
         )
+
+    def site_stream(self, fault: FaultModel) -> StreamResult:
+        """The stream the design produces with ``fault`` injected: a
+        cone replay of its override rows and delay-scale row against
+        :meth:`delta_base`."""
+        base = self.delta_base()
+        netlist = self.architecture.netlist
+        return replay_delta(
+            base,
+            delay_scales=fault_delay_scales(
+                netlist, [fault], base.scales,
+                self.architecture.technology,
+            ),
+            overrides=value_overrides(base, [fault]),
+        ).stream_result()
 
     def run_site(
         self, fault: FaultModel, site_id: str = ""
     ) -> Tuple[SiteReport, ArchitectureRunResult]:
         """Inject one fault and execute the full control loop."""
         arch = self.architecture
-        circuit = compile_with_faults(
-            arch.netlist,
-            [fault],
-            arch.technology,
-            delay_scale=self._base_scale,
-        )
-        # ``fold=True`` only folds hook-free circuits (pure delay
-        # faults); value-corrupting hooks make the engine bypass it, so
-        # every fault model keeps its exact per-pattern indexing.
-        stream = circuit.run(
-            {"md": self.md, "mr": self.mr}, chunk_size="auto", fold=True
-        )
         result = arch.run_patterns(
-            self.md, self.mr, years=self.years, stream=stream
+            self.md, self.mr, years=self.years,
+            stream=self.site_stream(fault),
         )
         corrupted = result.products != self._golden
         detected = corrupted & result.errors
@@ -609,7 +624,7 @@ class InjectionCampaign:
         ``observed_ports`` narrows the observation to a subset of output
         ports (default: every product bit the workload checks).
         """
-        circuit = self._pristine_circuit()
+        circuit = self.delta_base().circuit
         masks = circuit.output_reach_mask(observed_ports)
         netlist = self.architecture.netlist
         return [
@@ -685,7 +700,7 @@ class InjectionCampaign:
             observed_ports: Output ports the workload observes (pruning
                 granularity; default all).
             site_range: Optional ``(lo, hi)`` slice of the site list to
-                run -- the manifest-sharding unit.  The partial result
+                run -- the sharding unit.  The partial result
                 carries only those sites; merging every shard's
                 checkpoint reproduces the full serial result exactly
                 (``python -m repro faults merge``).

@@ -13,7 +13,7 @@ Usage::
     # ...and the merge fuses the checkpoints, byte-identical to serial
     python -m repro faults merge --sites 60 --checkpoint a.jsonl b.jsonl
 
-    # or dispatch sites through a worker pool (local / tcp / manifest)
+    # or dispatch sites through a worker pool (local / tcp)
     python -m repro faults run --sites 60 --pool tcp:hostA:9100,hostB:9100
 
     # serial-vs-sharded wall-clock benchmark, JSON artifact included
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import time
 from typing import Dict, Optional, Tuple
@@ -180,9 +181,28 @@ def cmd_bench(args) -> int:
         % (len(campaign.faults), campaign.num_patterns, args.workers)
     )
     start = time.time()
-    serial = campaign.run(workers=1, prune=not args.no_prune)
+    campaign.delta_base()
+    base_s = time.time() - start
+    marks = []
+    serial = campaign.run(
+        workers=1, prune=not args.no_prune,
+        progress=lambda report, done, total: marks.append(
+            (report.pruned, time.perf_counter())
+        ),
+    )
     serial_s = time.time() - start
-    print("  serial : %.2f s" % serial_s)
+    # Per-site cost: the gap before each replayed site's report (the
+    # first report's gap also holds the baseline run, so it is left out).
+    site_s = [
+        stop - begin
+        for (_, begin), (pruned, stop) in zip(marks, marks[1:])
+        if not pruned
+    ]
+    site_ms = round(1e3 * statistics.median(site_s), 3) if site_s else None
+    print(
+        "  serial : %.2f s  (base %.3f s, median %s ms per site)"
+        % (serial_s, base_s, site_ms)
+    )
     start = time.time()
     sharded = campaign.run(
         workers=args.workers, prune=not args.no_prune
@@ -203,6 +223,8 @@ def cmd_bench(args) -> int:
         "sites_simulated": serial.simulated_sites,
         "workers": args.workers,
         "serial_seconds": round(serial_s, 4),
+        "base_seconds": round(base_s, 4),
+        "site_median_ms": site_ms,
         "sharded_seconds": round(sharded_s, 4),
         "speedup": round(serial_s / sharded_s, 4) if sharded_s else None,
         "bit_identical": identical,
@@ -274,7 +296,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--pool", metavar="SPEC", default=None,
-        help="worker pool: local:N, tcp:host:port,... or manifest:DIR"
+        help="worker pool: local:N or tcp:host:port,..."
         " (see 'python -m repro distrib')",
     )
     run.set_defaults(func=cmd_run)

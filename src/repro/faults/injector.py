@@ -1,10 +1,18 @@
-"""Applying fault models to a netlist / compiled engine.
+"""Applying fault models to a pristine simulation.
 
-:func:`compile_with_faults` is the single entry point: it folds any mix
-of value faults (stuck-at, transient flips -- applied through the
-engine's fault hooks) and delay faults (applied through the per-cell
-delay-scale vector, composing with aging/EM scales) into one
-:class:`~repro.timing.engine.CompiledCircuit`.
+Faults are priced against one fault-free
+:class:`~repro.timing.delta.DeltaBase` (see
+:class:`repro.faults.campaign.InjectionCampaign`):
+
+* value faults (stuck-at, transient flips) become net override rows
+  for :func:`~repro.timing.delta.replay_delta` via
+  :func:`value_overrides`;
+* delay faults become a perturbed per-cell delay-scale row via
+  :func:`fault_delay_scales` (composing with aging/EM scales).
+
+:func:`build_fault_hooks` gives the same value faults as hooks for the
+per-cell oracle (:func:`repro.timing.reference.reference_run`), which
+is what the override path is checked against.
 
 :func:`enumerate_fault_sites` produces a deterministic, seeded sweep of
 candidate fault sites over a netlist's cell outputs, used by
@@ -20,7 +28,7 @@ import numpy as np
 from ..config import DEFAULT_TECHNOLOGY, Technology
 from ..errors import FaultError
 from ..nets.netlist import Netlist
-from ..timing.engine import CompiledCircuit, FaultHook
+from ..timing.reference import FaultHook
 from .models import DelayFault, FaultModel, StuckAtFault, TransientBitFlip
 
 #: Fault-kind tags accepted by :func:`enumerate_fault_sites`.
@@ -31,12 +39,6 @@ def _chain_hooks(first: FaultHook, second: FaultHook) -> FaultHook:
     def chained(values: np.ndarray, start_index: int) -> np.ndarray:
         return second(first(values, start_index), start_index)
 
-    # Preserve value-plane cacheability (repro.timing.value_cache): a
-    # chain is keyable iff both links are.
-    first_key = getattr(first, "cache_key", None)
-    second_key = getattr(second, "cache_key", None)
-    if first_key is not None and second_key is not None:
-        chained.cache_key = "%s+%s" % (first_key, second_key)
     return chained
 
 
@@ -47,7 +49,8 @@ def build_fault_hooks(
 
     Multiple value faults on the same net compose in listed order (e.g.
     a transient flip on top of a stuck net is absorbed by the stuck-at
-    applied last).
+    applied last).  The hooks drive the per-cell oracle and derive
+    :func:`value_overrides` rows.
     """
     hooks: Dict[int, FaultHook] = {}
     for fault in faults:
@@ -57,13 +60,6 @@ def build_fault_hooks(
         hook = fault.value_hook()
         if hook is None:
             continue
-        if getattr(hook, "cache_key", None) is None:
-            # Deterministic identity so faulty value planes can be
-            # cached per hook set (see repro.timing.value_cache).
-            try:
-                hook.cache_key = fault.site_id()
-            except AttributeError:  # pragma: no cover - exotic callables
-                pass
         net = fault.net
         hooks[net] = (
             _chain_hooks(hooks[net], hook) if net in hooks else hook
@@ -146,25 +142,38 @@ def fault_delay_scales(
     return scales
 
 
-def compile_with_faults(
-    netlist: Netlist,
-    faults: Sequence[FaultModel],
-    technology: Technology = DEFAULT_TECHNOLOGY,
-    delay_scale: Optional[np.ndarray] = None,
-    mode: str = "inertial",
-) -> CompiledCircuit:
-    """Compile ``netlist`` with ``faults`` injected.
+def value_overrides(
+    base, faults: Sequence[FaultModel]
+) -> Dict[int, np.ndarray]:
+    """Override rows pricing the value faults of ``faults`` against a
+    pristine :class:`~repro.timing.delta.DeltaBase`.
 
-    With an empty fault list this is exactly ``CompiledCircuit(netlist,
-    technology, delay_scale, mode)`` -- the zero-fault campaign is
-    bit-identical to the pristine simulation (property-tested).
-    Hooked cells evaluate on the bucket plan's scalar fallback.
+    Each faulted net's row is its hook applied to the net's pristine
+    stream with the settling pattern prepended (start index -1), which
+    is what the hook sees in the oracle when nothing upstream of the
+    net is faulted.  Faulted nets inside another faulted net's forward
+    cone would see faulted inputs there, so they are rejected.
+
+    Raises:
+        FaultError: A faulted net lies in another faulted net's cone.
     """
-    hooks = build_fault_hooks(netlist, faults)
-    scale = fault_delay_scale(netlist, faults, technology, delay_scale)
-    return CompiledCircuit(
-        netlist, technology, scale, mode, fault_hooks=hooks or None,
+    hooks = build_fault_hooks(base.circuit.netlist, faults)
+    nested = len(hooks) > 1 and sorted(
+        set(hooks) & base.downstream_nets(hooks)
     )
+    if nested:
+        raise FaultError(
+            "faulted net %d lies downstream of another faulted net;"
+            " price such faults one at a time" % nested[0]
+        )
+    rows: Dict[int, np.ndarray] = {}
+    for net, hook in hooks.items():
+        pristine = base.plane.value(net)
+        rows[net] = np.asarray(
+            hook(np.concatenate((pristine[:1], pristine)), -1),
+            dtype=np.uint8,
+        )
+    return rows
 
 
 def em_fault_sites(

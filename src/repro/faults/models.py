@@ -15,11 +15,12 @@ fault classes, all modelled here against the gate-level netlists:
   fixed extra propagation delay on top of the smooth BTI/EM curve.  This
   is the fault class Razor is designed to catch.
 
-Value faults enter the simulator through
-:attr:`repro.timing.engine.CompiledCircuit` fault hooks; delay faults
-enter through the per-cell delay-scale vector.  Use
-:func:`repro.faults.injector.compile_with_faults` to apply a mix of all
-three to a netlist.
+Value faults are described by hooks (:meth:`FaultModel.value_hook`):
+the per-cell oracle applies them directly, and
+:func:`repro.faults.injector.value_overrides` turns them into override
+rows for a cone replay against a pristine base; delay faults enter
+through the per-cell delay-scale vector
+(:func:`repro.faults.injector.fault_delay_scales`).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class FaultModel:
 
     Subclasses are frozen dataclasses, so a fault doubles as a hashable
     campaign key.  ``validate(netlist)`` checks the target exists;
-    ``value_hook()`` returns the engine hook for value faults (None for
+    ``value_hook()`` returns the value hook for value faults (None for
     pure delay faults); ``describe()`` is the human-readable site label.
     """
 

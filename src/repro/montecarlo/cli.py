@@ -12,7 +12,7 @@ Usage::
     # ...then fuse them, byte-identical to the single-host run
     python -m repro mc merge --dies 10000 --shards a.json b.json
 
-    # or dispatch shards through a worker pool (local / tcp / manifest)
+    # or dispatch shards through a worker pool (local / tcp)
     python -m repro mc --dies 10000 --pool tcp:hostA:9100,hostB:9100
 
 Per-die RNG substreams and per-row batched replay make the report (and
@@ -110,8 +110,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shard-json", metavar="PATH", default=None,
                         help="shard payload output path (with --shard)")
     parser.add_argument("--pool", metavar="SPEC", default=None,
-                        help="worker pool: local:N, tcp:host:port,... or"
-                        " manifest:DIR (see 'python -m repro distrib')")
+                        help="worker pool: local:N or tcp:host:port,..."
+                        " (see 'python -m repro distrib')")
     parser.add_argument("--store", metavar="PATH",
                         help="persistent artifact store directory"
                         " (priced populations are reused when warm)")

@@ -23,22 +23,29 @@ makes the *delta* the unit of work:
   cone**: values, may/aux masks and arrivals outside the cone are
   reused from the parent's recorded plane and arrival tensor, cone
   cells are re-evaluated through the exact same
-  :mod:`repro.timing.logic` kernels the engine uses.
+  :mod:`repro.timing.logic` kernels the engine uses.  Besides child
+  netlists and perturbed scale rows, a replay takes *net overrides*
+  (a net whose value stream is replaced outright), which is how fault
+  campaigns price stuck-at and transient sites without a child
+  netlist (see :func:`repro.faults.injector.value_overrides`).
 
 Byte-identity contract (asserted by ``tests/test_delta.py`` and the CI
 ``delta-smoke`` job): ``replay_delta`` reproduces, bit for bit, the
 ``outputs``, ``delays`` and ``bit_arrivals`` of a from-scratch
 :func:`evaluate_full` on the child netlist -- for both delay modes and
 any positive ``(k, num_cells)`` scale matrix.  ``switched_caps`` is
-*excluded* from the delta surface: transition densities propagate
-globally and are already the documented float-association exception
-between the bucketed engine and the per-cell reference (see DESIGN.md
-section 16).
+outside the byte-identity surface: a base built with
+``transitions=True`` re-sums it over the cone, which matches a full run
+only up to float association (the documented exception between the
+bucketed engine and the per-cell reference, DESIGN.md section 16).
 
-Base planes must be built with ``initial=None`` (settling pattern ==
-pattern 0), which makes every recorded may-mask equal to
-``changed_matrix(values, None)`` on the reported stream -- the identity
-the cone value pass relies on to reproduce recorded flags exactly.
+Base planes are built with ``initial=None`` (settling pattern ==
+pattern 0), so every pristine net settles to its pattern-0 value and
+its recorded may-mask equals ``changed_matrix(values, None)`` on the
+reported stream.  An override whose settling value differs from its
+pattern-0 value (a transient flip on pattern 0) breaks that identity
+downstream, so the cone pass then carries each cone net's settling
+value explicitly.
 """
 
 from __future__ import annotations
@@ -52,10 +59,10 @@ import numpy as np
 from ..errors import DeltaError
 from ..nets.netlist import CONST0, CONST1, Netlist
 from . import logic
-from .engine import CompiledCircuit, _CompiledCell
+from .engine import CompiledCircuit, StreamResult, _CompiledCell
 from .replay import ArrivalReplay, ValuePlane, _PlaneRecorder
 from .replay import build_value_plane, replay_buckets
-from .soa import LevelBucket, SoAPlan, identity_schedule
+from .soa import SoAPlan, identity_schedule, pack_level
 from .value_cache import netlist_fingerprint
 
 __all__ = [
@@ -120,15 +127,24 @@ class NetlistDelta:
         return digest.hexdigest()
 
 
-def _forward_cone(
-    netlist: Netlist, seed_cells: Sequence[int]
-) -> Tuple[List[int], frozenset]:
-    """Forward closure of ``seed_cells``: every cell reachable through
-    driver -> consumer edges, plus the set of their output nets."""
+def _consumers(netlist: Netlist) -> Dict[int, List[int]]:
+    """Net -> indices of the cells reading it."""
     consumers: Dict[int, List[int]] = {}
     for cell in netlist.cells:
         for net in cell.inputs:
             consumers.setdefault(net, []).append(cell.index)
+    return consumers
+
+
+def _forward_cone(
+    netlist: Netlist,
+    seed_cells: Sequence[int],
+    consumers: Optional[Dict[int, List[int]]] = None,
+) -> Tuple[List[int], frozenset]:
+    """Forward closure of ``seed_cells``: every cell reachable through
+    driver -> consumer edges, plus the set of their output nets."""
+    if consumers is None:
+        consumers = _consumers(netlist)
     cone = set(int(index) for index in seed_cells)
     queue = list(cone)
     while queue:
@@ -223,47 +239,7 @@ def _plan_levels(plan: SoAPlan, num_cells: int) -> np.ndarray:
     for depth, bucket_list in enumerate(plan.levels):
         for bucket in bucket_list:
             levels[bucket.positions] = depth
-    for depth, scalars in enumerate(plan.scalar_levels):
-        for compiled in scalars:
-            levels[compiled.position] = depth
     return levels
-
-
-def _rebuild_level(members) -> List[LevelBucket]:
-    """Re-bucket one level's compiled cells, replicating
-    :func:`~repro.timing.soa.build_soa_plan` exactly (first-seen opcode
-    bucket order, members in levelized position order)."""
-    per_opcode: Dict[int, List] = {}
-    for compiled in members:
-        per_opcode.setdefault(compiled.opcode, []).append(compiled)
-    packed = []
-    for opcode, group in per_opcode.items():
-        pins = np.array(
-            [c.inputs for c in group], dtype=np.intp
-        ).T.copy()
-        packed.append(
-            LevelBucket(
-                opcode=opcode,
-                positions=np.array(
-                    [c.position for c in group], dtype=np.intp
-                ),
-                pins=pins,
-                outputs=np.array(
-                    [c.output for c in group], dtype=np.intp
-                ),
-                cell_indices=np.array(
-                    [c.index for c in group], dtype=np.intp
-                ),
-                fresh_delays=np.array(
-                    [c.fresh_delay_ns for c in group], dtype=float
-                ),
-                delays=np.array(
-                    [c.delay_ns for c in group], dtype=float
-                ),
-                caps=np.array([c.cap for c in group], dtype=float),
-            )
-        )
-    return packed
 
 
 def patch_compiled(
@@ -288,17 +264,12 @@ def patch_compiled(
     plane.
 
     Raises:
-        DeltaError: The parent carries fault hooks, the pair is not
-            aligned, or a rewired pin is produced at (or above) the
-            changed cell's kept level -- fall back to a from-scratch
-            :class:`CompiledCircuit` in that case.
+        DeltaError: The pair is not aligned, or a rewired pin is
+            produced at (or above) the changed cell's kept level -- fall
+            back to a from-scratch :class:`CompiledCircuit` in that
+            case.
     """
     parent = parent_circuit.netlist
-    if parent_circuit.fault_hooks:
-        raise DeltaError(
-            "cannot patch a hooked circuit; compile the child with its"
-            " fault hooks from scratch"
-        )
     if delta is None:
         delta = diff_netlists(parent, child)
     else:
@@ -311,7 +282,7 @@ def patch_compiled(
                 "delta does not connect this parent/child pair"
             )
     child.validate()
-    plan = parent_circuit.soa_value_plan()
+    plan = parent_circuit.soa_plan()
     cells = list(parent_circuit._cells)
     num_cells = len(cells)
     levels = _plan_levels(plan, num_cells)
@@ -357,30 +328,20 @@ def patch_compiled(
             for bucket in plan.levels[level]
             for p in bucket.positions
         )
-        new_levels[level] = _rebuild_level(
-            [cells[p] for p in positions]
-        )
+        new_levels[level] = pack_level([cells[p] for p in positions])
 
     patched = CompiledCircuit.__new__(CompiledCircuit)
     patched.netlist = child
     patched.technology = parent_circuit.technology
     patched.mode = parent_circuit.mode
-    patched.fault_hooks = {}
     patched.delay_scale = scale
     patched._cells = cells
     patched.num_nets = child.num_nets
     patched._reach_masks = None
     patched._cell_delays = None
-    plan = SoAPlan(
-        levels=new_levels,
-        scalar_levels=plan.scalar_levels,
-        grouped=plan.grouped,
-        num_levels=plan.num_levels,
-        num_bucketed=plan.num_bucketed,
-        num_scalar=plan.num_scalar,
+    patched._soa_plan = SoAPlan(
+        levels=new_levels, grouped=plan.grouped, num_levels=plan.num_levels
     )
-    patched._soa_value_plan = plan
-    patched._soa_replay_plan = plan
     patched._replay_schedule = None
     patched.delta_lineage = getattr(
         parent_circuit, "delta_lineage", ()
@@ -400,17 +361,21 @@ class DeltaPlane(ValuePlane):
     values without re-running the parent.
 
     ``val_packed`` rows mirror ``may_packed``; constant rails are never
-    recorded (:meth:`value` special-cases them)."""
+    recorded (:meth:`value` special-cases them).  ``trans``, when
+    recorded, holds every net's ``(n,)`` transition-density row (the
+    engine's switched-capacitance operand; rails stay 0.0)."""
 
     val_packed: Optional[np.ndarray] = None
+    trans: Optional[np.ndarray] = None
 
     @property
     def nbytes(self) -> int:
-        """Approximate footprint: the packed planes plus the value
-        capture."""
+        """Approximate footprint: the packed planes plus the value and
+        transition captures."""
         total = super().nbytes
-        if self.val_packed is not None:
-            total += self.val_packed.nbytes
+        for extra in (self.val_packed, self.trans):
+            if extra is not None:
+                total += extra.nbytes
         return total
 
     def value(self, net: int) -> np.ndarray:
@@ -425,7 +390,8 @@ class DeltaPlane(ValuePlane):
 
 
 class _DeltaRecorder(_PlaneRecorder):
-    """Plane recorder that also captures per-net value streams.
+    """Plane recorder that also captures per-net value streams (and,
+    with ``transitions``, transition-density rows).
 
     ``wants_values`` opts into the engine's guarded ``net_values`` /
     ``bucket_values`` callbacks (plain plane builds skip the capture
@@ -433,20 +399,35 @@ class _DeltaRecorder(_PlaneRecorder):
 
     wants_values = True
 
-    def __init__(self, circuit: CompiledCircuit, num_patterns: int):
+    def __init__(
+        self, circuit: CompiledCircuit, num_patterns: int,
+        transitions: bool = False,
+    ):
         super().__init__(circuit, num_patterns)
         nbytes = (num_patterns + 7) // 8
         self.values = np.zeros(
             (circuit.num_nets, nbytes), dtype=np.uint8
         )
+        self.trans = (
+            np.zeros((circuit.num_nets, num_patterns))
+            if transitions else None
+        )
 
-    def net_values(self, net: int, vals: np.ndarray) -> None:
+    def net_values(self, net: int, vals: np.ndarray, trans) -> None:
         self._pack_into(self.values[net], vals)
+        if self.trans is not None:
+            start = self._byte * 8
+            row = trans[self._lo:]
+            self.trans[net, start:start + row.shape[0]] = row
 
-    def bucket_values(self, nets, vals: np.ndarray) -> None:
+    def bucket_values(self, nets, vals: np.ndarray, trans) -> None:
         packed = np.packbits(vals[:, self._lo:], axis=1)
         width = packed.shape[1]
         self.values[nets, self._byte:self._byte + width] = packed
+        if self.trans is not None:
+            start = self._byte * 8
+            rows = trans[:, self._lo:]
+            self.trans[nets, start:start + rows.shape[1]] = rows
 
 
 def build_delta_plane(
@@ -455,30 +436,22 @@ def build_delta_plane(
     collect_net_stats: bool = False,
     chunk_size: "Optional[int | str]" = "auto",
     key: Optional[str] = None,
+    transitions: bool = False,
 ) -> DeltaPlane:
     """One value pass capturing a replayable-and-diffable
-    :class:`DeltaPlane`.
+    :class:`DeltaPlane` (with transition rows when ``transitions``).
 
     ``initial`` is pinned to None (settling pattern == pattern 0): the
-    cone value pass reproduces recorded may-masks via
-    ``changed_matrix(values, None)``, which only holds under that
-    settling convention.
-
-    Raises:
-        DeltaError: The circuit carries fault hooks (faulted planes are
-            hook-specific; delta bases must be pristine).
+    cone value pass relies on every pristine net settling to its
+    pattern-0 value.
     """
-    if circuit.fault_hooks:
-        raise DeltaError(
-            "delta base planes require a hook-free circuit"
-        )
     lengths = {np.asarray(v).shape[0] for v in stimulus.values()}
     if len(lengths) != 1:
         raise DeltaError("stimulus arrays must be equally long")
     (n,) = lengths
     if isinstance(chunk_size, int) and chunk_size % 8:
         chunk_size += 8 - chunk_size % 8
-    recorder = _DeltaRecorder(circuit, n)
+    recorder = _DeltaRecorder(circuit, n, transitions=transitions)
     result = circuit.run(
         stimulus,
         initial=None,
@@ -500,6 +473,7 @@ def build_delta_plane(
         toggle_counts=result.toggle_counts,
         key=key,
         val_packed=recorder.values,
+        trans=recorder.trans,
     )
 
 
@@ -516,8 +490,7 @@ class DeltaResult:
     ``delays`` and ``bit_arrivals`` are bit-identical however the
     variant was evaluated (``method`` records which path ran --
     ``"base"``: unchanged, parent result; ``"delta"``: cone replay;
-    ``"full"``: from-scratch fallback).  Switched capacitance is
-    deliberately absent (see the module docstring).
+    ``"full"``: from-scratch fallback).
 
     Attributes:
         outputs: Output port name -> uint64 settled values, ``(n,)``.
@@ -526,10 +499,14 @@ class DeltaResult:
         num_patterns: Stream length ``n``.
         bit_arrivals: Optional port -> ``(width, k, n)`` matrices.
         delta: The structural delta (None on ``"full"`` evaluations of
-            an unrelated netlist).
+            an unrelated netlist and on override replays).
         value_cone_cells / arrival_cone_cells: Cells re-simulated by
             the value / arrival pass (empty on ``"base"``/``"full"``).
         method: ``"base"``, ``"delta"`` or ``"full"``.
+        switched_caps: Per-pattern switched capacitance, when known:
+            always when no value changed (exactly the base's), and on
+            bases built with ``transitions=True`` otherwise (equal to a
+            full run up to float association).
     """
 
     outputs: Dict[str, np.ndarray]
@@ -541,6 +518,7 @@ class DeltaResult:
     delta: Optional[NetlistDelta] = None
     value_cone_cells: Tuple[int, ...] = ()
     arrival_cone_cells: Tuple[int, ...] = ()
+    switched_caps: Optional[np.ndarray] = None
 
     @property
     def num_corners(self) -> int:
@@ -553,6 +531,34 @@ class DeltaResult:
     def mean_delays(self) -> np.ndarray:
         """Per-corner mean path delay (ns), shape ``(k,)``."""
         return self.delays.mean(axis=1)
+
+    def stream_result(self, corner: int = 0) -> StreamResult:
+        """One corner as a :class:`StreamResult` (what
+        :meth:`~repro.core.architecture.AgingAwareMultiplier
+        .run_patterns` consumes).
+
+        Raises:
+            DeltaError: The switched capacitance is unknown (a value
+                cone replayed on a base built without ``transitions``).
+        """
+        if self.switched_caps is None:
+            raise DeltaError(
+                "switched capacitance unknown: build the DeltaBase with"
+                " transitions=True"
+            )
+        bit_arrivals = None
+        if self.bit_arrivals is not None:
+            bit_arrivals = {
+                name: matrix[:, corner, :]
+                for name, matrix in self.bit_arrivals.items()
+            }
+        return StreamResult(
+            outputs=self.outputs,
+            delays=self.delays[corner],
+            switched_caps=self.switched_caps,
+            num_patterns=self.num_patterns,
+            bit_arrivals=bit_arrivals,
+        )
 
 
 def evaluate_full(
@@ -603,8 +609,11 @@ class DeltaBase:
 
     One value pass (with value capture) plus one all-nets arrival
     replay at the base ``(k, num_cells)`` scale matrix.  Against this
-    base, :func:`replay_delta` prices an aligned child netlist --
-    and/or a perturbed scale matrix -- touching only the affected cone.
+    base, :func:`replay_delta` prices an aligned child netlist, net
+    overrides and/or a perturbed scale matrix, touching only the
+    affected cone.  ``transitions=True`` also records every net's
+    transition-density row, so replays that change values report
+    switched capacitance too.
     """
 
     def __init__(
@@ -613,6 +622,7 @@ class DeltaBase:
         stimulus: Dict[str, Sequence[int]],
         delay_scales: np.ndarray,
         chunk_size: "Optional[int | str]" = "auto",
+        transitions: bool = False,
     ):
         scales = np.asarray(delay_scales, dtype=float)
         if scales.ndim == 1:
@@ -633,7 +643,8 @@ class DeltaBase:
         }
         self.scales = scales
         self.plane = build_delta_plane(
-            circuit, self.stimulus, chunk_size=chunk_size
+            circuit, self.stimulus, chunk_size=chunk_size,
+            transitions=transitions,
         )
         self.num_patterns = self.plane.num_patterns
         # Dense (num_nets, n, k) arrivals of *every* net, one window
@@ -643,7 +654,7 @@ class DeltaBase:
         self.arrivals = np.zeros(
             (circuit.num_nets, self.num_patterns, scales.shape[0])
         )
-        plan = circuit.soa_replay_plan()
+        plan = circuit.soa_plan()
         replay_buckets(
             plan, identity_schedule(plan, circuit.num_nets), self.plane,
             scales, self.arrivals, 0, self.num_patterns,
@@ -656,11 +667,24 @@ class DeltaBase:
                 np.maximum(
                     self.delays, self.arrivals[net].T, out=self.delays
                 )
-        plan = circuit.soa_value_plan()
         self.level_of_position = _plan_levels(plan, num_cells)
         self.pos_by_index = {
             c.index: c.position for c in circuit._cells
         }
+        self.driver_of_net = {
+            c.output: c.index for c in circuit.netlist.cells
+        }
+        self.consumers = _consumers(circuit.netlist)
+
+    def downstream_nets(self, nets) -> frozenset:
+        """Output nets of every cell reading, directly or transitively,
+        any of ``nets``."""
+        readers = [
+            cell for net in nets for cell in self.consumers.get(net, ())
+        ]
+        return _forward_cone(
+            self.circuit.netlist, readers, self.consumers
+        )[1]
 
     @property
     def nbytes(self) -> int:
@@ -684,39 +708,78 @@ class DeltaBase:
             num_patterns=self.num_patterns,
             method="base",
             bit_arrivals=bit_arrivals,
+            switched_caps=self.plane.switched_caps,
         )
+
+
+def _check_overrides(base: DeltaBase, overrides) -> Dict[int, np.ndarray]:
+    """Validated ``net -> (n + 1,)`` uint8 override rows."""
+    rows: Dict[int, np.ndarray] = {}
+    for net, row in overrides.items():
+        if not isinstance(net, (int, np.integer)) or isinstance(net, bool):
+            raise DeltaError("override net must be an int, got %r" % (net,))
+        net = int(net)
+        if net in (CONST0, CONST1) or not 0 <= net < base.num_nets:
+            raise DeltaError(
+                "override net %d is a rail or out of range (%d nets)"
+                % (net, base.num_nets)
+            )
+        row = np.asarray(row, dtype=np.uint8)
+        if row.shape != (base.num_patterns + 1,) or np.any(row > 1):
+            raise DeltaError(
+                "override row for net %d must be (n + 1,) = (%d,) bits"
+                " (settling pattern first), got shape %r"
+                % (net, base.num_patterns + 1, row.shape)
+            )
+        rows[net] = row
+    return rows
 
 
 def replay_delta(
     base: DeltaBase,
-    child: Netlist,
+    child: Optional[Netlist] = None,
     delay_scales: Optional[np.ndarray] = None,
     delta: Optional[NetlistDelta] = None,
     collect_bit_arrivals: bool = False,
     max_cone_fraction: Optional[float] = None,
+    overrides: Optional[Dict[int, np.ndarray]] = None,
 ) -> DeltaResult:
-    """Price an aligned child netlist against a parent base.
+    """Price an aligned child netlist, or net overrides, against a base.
 
     Re-simulates only the affected cone: the *value cone* (forward
-    closure of structurally changed cells) is re-evaluated through
+    closure of structurally changed cells, or of the overridden nets'
+    drivers / readers) is re-evaluated through
     :func:`logic.eval_vector` / :func:`logic.aux_masks` /
-    :func:`logic.changed_matrix`; the *arrival cone* (forward closure
-    of changed plus scale-perturbed cells, a superset) is re-timed
-    through :func:`logic.arrival_masks` with ``(k, 1)`` delay columns.
+    :func:`logic.changed_matrix`; the *arrival cone* (that closure plus
+    scale-perturbed cells) is re-timed through
+    :func:`logic.arrival_masks` with ``(k, 1)`` delay columns.
     Everything outside a cone is gathered from the base plane / arrival
     tensor.  Bit-identical to :func:`evaluate_full` on the child.
 
     Args:
+        child: Aligned child netlist (None: the base netlist).
         delay_scales: Optional replacement scale matrix; must match the
             base's ``(k, num_cells)`` shape (None: the base scales).
         delta: Optional precomputed diff (skips re-hashing).
         max_cone_fraction: When set and the arrival cone exceeds this
             fraction of all cells, evaluate from scratch instead
             (``method="full"``) -- same bytes, different cost profile.
+            Needs a child netlist.
+        overrides: Net id -> ``(n + 1,)`` 0/1 row the net reads instead
+            of its computed value; entry 0 is the settling pattern
+            (global index -1), entries ``1..n`` the reported patterns.
+            The overridden net's change flags, transitions and (in
+            inertial mode) may-mask follow the row; its driver's aux
+            masks and (in floating mode) may-mask do not, exactly as a
+            fault hook rewrites a net in the reference
+            (:func:`repro.timing.reference.reference_run`).  Needs no
+            child netlist, so no diff, patch or validation runs.
 
     Raises:
-        DeltaError: Misaligned pair, mismatched scale shape, or an
-            unpatchable rewire (see :func:`patch_compiled`).
+        DeltaError: Misaligned pair, mismatched scale shape, an
+            unpatchable rewire (see :func:`patch_compiled`), a malformed
+            override, overrides combined with a child netlist, or
+            ``max_cone_fraction`` without one.
     """
     parent_circuit = base.circuit
     if delay_scales is None:
@@ -732,26 +795,56 @@ def replay_delta(
             )
         if np.any(scales <= 0):
             raise DeltaError("delay_scale entries must be positive")
-    if delta is None:
-        delta = diff_netlists(parent_circuit.netlist, child)
+    if max_cone_fraction is not None and child is None:
+        raise DeltaError(
+            "max_cone_fraction needs a child netlist to evaluate from"
+            " scratch"
+        )
+    roots: Dict[int, np.ndarray] = {}
+    if overrides:
+        if child is not None or delta is not None:
+            raise DeltaError(
+                "overrides price against the base netlist; pass either"
+                " a child netlist or overrides"
+            )
+        roots = _check_overrides(base, overrides)
     scale_changed = np.nonzero(
         (scales != base.scales).any(axis=0)
     )[0]
 
-    if delta.is_empty and not scale_changed.size:
+    if child is None:
+        netlist = parent_circuit.netlist
+        patched = parent_circuit
+        consumers = base.consumers
+        value_seeds = set()
+        for net in roots:
+            driver = base.driver_of_net.get(net)
+            if driver is None:  # primary input: its readers re-evaluate
+                value_seeds.update(consumers.get(net, ()))
+            else:
+                value_seeds.add(driver)
+        value_cone = (
+            _forward_cone(netlist, value_seeds, consumers)[0]
+            if value_seeds else []
+        )
+    else:
+        if delta is None:
+            delta = diff_netlists(parent_circuit.netlist, child)
+        netlist = child
+        consumers = None
+        value_seeds = set(delta.changed_cells)
+        value_cone = list(delta.cone_cells)
+        if not delta.is_empty:
+            patched = patch_compiled(parent_circuit, child, delta)
+        else:
+            patched = parent_circuit
+
+    if not value_seeds and not roots and not scale_changed.size:
         result = base.result(collect_bit_arrivals=collect_bit_arrivals)
         return dataclasses.replace(result, delta=delta)
 
-    if delta.is_empty:
-        patched = parent_circuit
-    else:
-        patched = patch_compiled(parent_circuit, child, delta)
-
-    seeds = sorted(
-        set(delta.changed_cells)
-        | set(int(index) for index in scale_changed)
-    )
-    arrival_cone, _ = _forward_cone(child, seeds)
+    seeds = sorted(value_seeds | set(int(index) for index in scale_changed))
+    arrival_cone, _ = _forward_cone(netlist, seeds, consumers)
     if (
         max_cone_fraction is not None
         and len(arrival_cone) > max_cone_fraction * base.num_cells
@@ -772,6 +865,8 @@ def replay_delta(
     pos_by_index = base.pos_by_index
     levels = base.level_of_position
     inertial = parent_circuit.mode == "inertial"
+    damping = parent_circuit.technology.glitch_damping
+    trans_plane = plane.trans
 
     def cone_order(indices):
         return sorted(
@@ -783,8 +878,14 @@ def replay_delta(
     new_vals: Dict[int, np.ndarray] = {}
     new_mays: Dict[int, np.ndarray] = {}
     new_aux: Dict[int, tuple] = {}
+    new_trans: Dict[int, np.ndarray] = {}
     boundary_vals: Dict[int, np.ndarray] = {}
     boundary_mays: Dict[int, np.ndarray] = {}
+    # Settling values of cone nets, kept only when some override's
+    # settling value differs from its pattern-0 value (otherwise every
+    # net settles to its pattern-0 value and the flags open False).
+    track_settle = any(row[0] != row[1] for row in roots.values())
+    settles: Dict[int, np.ndarray] = {}
 
     def value_row(net: int) -> np.ndarray:
         row = new_vals.get(net)
@@ -794,6 +895,10 @@ def replay_delta(
                 row = plane.value(net)
                 boundary_vals[net] = row
         return row
+
+    def settle_row(net: int) -> np.ndarray:
+        row = settles.get(net)
+        return value_row(net)[:1] if row is None else row
 
     def may_row(net: int) -> np.ndarray:
         row = new_mays.get(net)
@@ -807,21 +912,59 @@ def replay_delta(
                 boundary_mays[net] = row
         return row
 
-    for position in cone_order(delta.cone_cells):
+    def trans_row(net: int) -> np.ndarray:
+        row = new_trans.get(net)
+        return trans_plane[net] if row is None else row
+
+    for net, row in roots.items():
+        if net in base.driver_of_net:
+            continue
+        # An overridden primary input: its flags follow the row in
+        # either mode, and it never arrives late.
+        flags = logic.changed_matrix(row[1:], row[0])
+        new_vals[net] = row[1:]
+        new_mays[net] = flags
+        settles[net] = row[:1]
+        if trans_plane is not None:
+            new_trans[net] = flags.astype(float)
+
+    for position in cone_order(value_cone):
         compiled = cells[position]
-        in_vals = [value_row(pin) for pin in compiled.inputs]
-        out_val = logic.eval_vector(compiled.opcode, in_vals)
+        ins = compiled.inputs
+        in_vals = [value_row(pin) for pin in ins]
+        net = compiled.output
+        row = roots.get(net)
+        if row is None:
+            out_val = logic.eval_vector(compiled.opcode, in_vals)
+        else:
+            out_val = row[1:]
+        carry = None
+        if track_settle:
+            if row is None:
+                settle = logic.eval_vector(
+                    compiled.opcode, [settle_row(pin) for pin in ins]
+                )
+            else:
+                settle = row[:1]
+            settles[net] = settle
+            carry = settle[0]
+        changed = logic.changed_matrix(out_val, carry)
         aux = logic.aux_masks(compiled.opcode, in_vals)
         if inertial:
-            out_may = logic.changed_matrix(out_val, None)
+            out_may = changed
         else:
-            in_mays = [may_row(pin) for pin in compiled.inputs]
+            in_mays = [may_row(pin) for pin in ins]
             out_may = logic.may_vector(
                 compiled.opcode, in_vals, in_mays, aux
             )
-        new_vals[compiled.output] = out_val
-        new_mays[compiled.output] = out_may
+        new_vals[net] = out_val
+        new_mays[net] = out_may
         new_aux[position] = aux
+        if trans_plane is not None:
+            new_trans[net] = logic.transition_vector(
+                compiled.opcode, in_vals, [trans_row(pin) for pin in ins],
+                changed, damping=damping,
+            )
 
     # -- arrival cone: re-time changed + scale-perturbed closure -------
     new_arr: Dict[int, np.ndarray] = {}
@@ -849,7 +992,7 @@ def replay_delta(
         )
 
     # -- assemble: splice outputs, re-reduce port delays ---------------
-    ports = child.output_ports
+    ports = netlist.output_ports
     outputs: Dict[str, np.ndarray] = {}
     for name, port in ports.items():
         if any(net in new_vals for net in port.nets):
@@ -875,6 +1018,18 @@ def replay_delta(
                 [np.ascontiguousarray(row) for row in rows]
             )
 
+    switched = plane.switched_caps if not new_vals else None
+    if new_vals and trans_plane is not None:
+        # Cone cells trade their base contribution for the new one.
+        parent_cells = parent_circuit._cells
+        shift = np.zeros(n)
+        for index in value_cone:
+            position = pos_by_index[index]
+            net = cells[position].output
+            shift += cells[position].cap * new_trans[net]
+            shift -= parent_cells[position].cap * trans_plane[net]
+        switched = plane.switched_caps + shift
+
     return DeltaResult(
         outputs=outputs,
         delays=delays,
@@ -883,6 +1038,7 @@ def replay_delta(
         method="delta",
         bit_arrivals=bit_arrivals,
         delta=delta,
-        value_cone_cells=tuple(delta.cone_cells),
+        value_cone_cells=tuple(value_cone),
         arrival_cone_cells=tuple(arrival_cone),
+        switched_caps=switched,
     )

@@ -30,27 +30,26 @@ test oracle in :mod:`repro.timing.reference`.  Memory stays bounded by
 chunking the pattern axis; exactness across chunk boundaries is
 preserved by carrying each net's final value and each bypass group's
 held value.
+
+The engine simulates fault-free circuits only.  Fault campaigns price
+stuck-at and transient sites as value-cone replays and delay sites as
+perturbed scale rows against one pristine
+:class:`~repro.timing.delta.DeltaBase`; fault hooks survive only as the
+oracle's argument (:func:`repro.timing.reference.reference_run`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..config import DEFAULT_TECHNOLOGY, Technology
-from ..errors import FaultError, SimulationError
+from ..errors import SimulationError
 from ..nets.netlist import CONST0, CONST1, Netlist
 from . import logic
 from .soa import build_replay_schedule, build_soa_plan
-
-#: A value-fault hook: maps a net's per-pattern bit stream to the faulted
-#: stream.  ``start_index`` is the *global* index of the first element
-#: (-1 for the prepended settling pattern), so hooks stay deterministic
-#: across chunk boundaries.  Hooks must be pure functions of their
-#: arguments.
-FaultHook = Callable[[np.ndarray, int], np.ndarray]
 
 #: Delay-semantics modes accepted by :class:`CompiledCircuit`.
 MODES = ("inertial", "floating")
@@ -143,14 +142,9 @@ class CompiledCircuit:
         delay_scale: Optional per-cell multiplicative delay factors
             (indexed by cell index) -- this is how aging enters timing.
         mode: Delay semantics, ``"inertial"`` or ``"floating"``.
-        fault_hooks: Optional net id -> :data:`FaultHook` mapping.  Each
-            hook rewrites that net's settled-value stream *before* change
-            detection, so arrivals, switching activity and downstream
-            logic all see the faulted values (this is how stuck-at and
-            transient value faults enter the simulation; delay faults
-            enter through ``delay_scale``).  Constant rails cannot be
-            hooked.  Cells driving a hooked net run through the
-            bucket plan's scalar fallback.
+
+    The circuit is always fault-free (see the module docstring for how
+    faults are priced).
     """
 
     def __init__(
@@ -159,7 +153,6 @@ class CompiledCircuit:
         technology: Technology = DEFAULT_TECHNOLOGY,
         delay_scale: Optional[np.ndarray] = None,
         mode: str = "inertial",
-        fault_hooks: Optional[Dict[int, FaultHook]] = None,
     ):
         if mode not in MODES:
             raise SimulationError(
@@ -169,18 +162,6 @@ class CompiledCircuit:
         self.netlist = netlist
         self.technology = technology
         self.mode = mode
-        self.fault_hooks: Dict[int, FaultHook] = dict(fault_hooks or {})
-        for net in self.fault_hooks:
-            if not isinstance(net, int) or isinstance(net, bool):
-                raise FaultError("fault hook net id must be an int, got %r"
-                                 % (net,))
-            if net in (CONST0, CONST1):
-                raise FaultError("cannot hook the constant rails")
-            if not 0 <= net < netlist.num_nets:
-                raise FaultError(
-                    "fault hook net %d out of range (netlist has %d nets)"
-                    % (net, netlist.num_nets)
-                )
         order = netlist.levelize()
         if delay_scale is None:
             scale = np.ones(len(netlist.cells))
@@ -216,8 +197,7 @@ class CompiledCircuit:
         self.num_nets = netlist.num_nets
         self._reach_masks: Optional[List[int]] = None
         self._cell_delays: Optional[np.ndarray] = None
-        self._soa_value_plan = None
-        self._soa_replay_plan = None
+        self._soa_plan = None
         self._replay_schedule = None
 
     # ------------------------------------------------------------------
@@ -296,8 +276,7 @@ class CompiledCircuit:
     def with_delay_scale(self, delay_scale: np.ndarray) -> "CompiledCircuit":
         """Recompile with new per-cell delay factors (e.g. another year)."""
         return CompiledCircuit(
-            self.netlist, self.technology, delay_scale, self.mode,
-            self.fault_hooks,
+            self.netlist, self.technology, delay_scale, self.mode
         )
 
     def cell_delays_ns(self) -> np.ndarray:
@@ -312,38 +291,21 @@ class CompiledCircuit:
             self._cell_delays = delays
         return self._cell_delays
 
-    def soa_value_plan(self):
-        """The bucketed :class:`~repro.timing.soa.SoAPlan` of the value
-        pass: cells with hooked outputs fall into per-level scalar
-        lists (built lazily, cached)."""
-        if self._soa_value_plan is None:
-            self._soa_value_plan = build_soa_plan(
-                self._cells, self.netlist, frozenset(self.fault_hooks)
-            )
-        return self._soa_value_plan
-
-    def soa_replay_plan(self):
-        """The all-cells bucket plan used by arrival replay.  Replay
-        consumes recorded (already-faulted) masks, so hooks need no
-        scalar fallback there; hook-free circuits share the value plan.
-        """
-        if self._soa_replay_plan is None:
-            if not self.fault_hooks:
-                self._soa_replay_plan = self.soa_value_plan()
-            else:
-                self._soa_replay_plan = build_soa_plan(
-                    self._cells, self.netlist, frozenset()
-                )
-        return self._soa_replay_plan
+    def soa_plan(self):
+        """The bucketed :class:`~repro.timing.soa.SoAPlan` shared by the
+        value pass and arrival replay (built lazily, cached)."""
+        if self._soa_plan is None:
+            self._soa_plan = build_soa_plan(self._cells, self.netlist)
+        return self._soa_plan
 
     def replay_schedule(self):
         """The liveness-allocated window rows of
-        :meth:`soa_replay_plan` (a
+        :meth:`soa_plan` (a
         :class:`~repro.timing.soa.ReplaySchedule`, built lazily,
         cached): arrival replay keeps one row per *live* net."""
         if self._replay_schedule is None:
             self._replay_schedule = build_replay_schedule(
-                self.soa_replay_plan(), self.netlist
+                self.soa_plan(), self.netlist
             )
         return self._replay_schedule
 
@@ -380,10 +342,9 @@ class CompiledCircuit:
                 transitions and simulate only the unique pairs (see
                 :mod:`repro.timing.fold`); results are bit-identical to
                 the unfolded run.  Silently bypassed whenever folding
-                cannot preserve semantics (fault hooks consume global
-                pattern indices; net stats and value-plane recording
-                aggregate with per-pattern multiplicity) or when the
-                stream barely repeats.
+                cannot preserve semantics (net stats and value-plane
+                recording aggregate with per-pattern multiplicity) or
+                when the stream barely repeats.
             _recorder: Internal -- a value-plane recorder (see
                 :mod:`repro.timing.replay`).  When set, arrival
                 computation is skipped (the recorder captures the masks
@@ -393,12 +354,7 @@ class CompiledCircuit:
         arrays = self._check_stimulus(stimulus, initial)
         n = next(iter(arrays.values())).shape[0]
 
-        if (
-            fold
-            and not self.fault_hooks
-            and not collect_net_stats
-            and _recorder is None
-        ):
+        if fold and not collect_net_stats and _recorder is None:
             from .fold import fold_stimulus, unfold_stream
 
             plan = fold_stimulus(arrays, initial)
@@ -473,8 +429,8 @@ class CompiledCircuit:
 
         Byte-identical to ``run(stimulus, initial,
         collect_net_stats=True).signal_prob`` -- averaged over the
-        simulated stream including the settling pattern, fault hooks
-        applied at the same global indices -- but evaluates only the
+        simulated stream including the settling pattern -- but
+        evaluates only the
         settled values: no change flags, arrivals, transition densities
         or toggle fixups.  This is all BTI stress characterization
         consumes (see :func:`repro.aging.stress.extract_stress`).
@@ -482,28 +438,19 @@ class CompiledCircuit:
         arrays = _prefix_settling(
             self._check_stimulus(stimulus, initial), initial
         )
-        fault_hooks = self.fault_hooks
-        plan = self.soa_value_plan()
+        plan = self.soa_plan()
         n = next(iter(arrays.values())).shape[0]
 
         V = np.zeros((self.num_nets, n), dtype=np.uint8)
         V[CONST1] = 1
-        for net, cur in self._input_rows(arrays, -1):
+        for net, cur in self._input_rows(arrays):
             V[net] = cur
 
-        for bucket_list, scalars in zip(plan.levels, plan.scalar_levels):
+        for bucket_list in plan.levels:
             for bucket in bucket_list:
                 pins = bucket.pins
                 V[bucket.outputs] = logic.eval_vector(
                     bucket.opcode, [V[pins[j]] for j in range(pins.shape[0])]
-                )
-            for compiled in scalars:
-                out_val = logic.eval_vector(
-                    compiled.opcode, [V[p] for p in compiled.inputs]
-                )
-                net = compiled.output
-                V[net] = np.asarray(
-                    fault_hooks[net](out_val, -1), dtype=np.uint8
                 )
 
         # Integer row sums are exact, so one reduction over the value
@@ -565,20 +512,13 @@ class CompiledCircuit:
 
     # ------------------------------------------------------------------
 
-    def _input_rows(self, arrays: Dict[str, np.ndarray], start_index: int):
+    def _input_rows(self, arrays: Dict[str, np.ndarray]):
         """Yield ``(net, bits)`` for every primary-input net: port words
-        expanded into per-net bit rows, input-port fault hooks applied
-        at global index ``start_index``."""
-        fault_hooks = self.fault_hooks
+        expanded into per-net bit rows."""
         for name, port in self.netlist.input_ports.items():
             bits = logic.unpack_bits(arrays[name], port.width)
             for lane, net in enumerate(port.nets):
-                cur = bits[lane]
-                if net in fault_hooks:
-                    cur = np.asarray(
-                        fault_hooks[net](cur, start_index), dtype=np.uint8
-                    )
-                yield net, cur
+                yield net, bits[lane]
 
     def _run_chunk(
         self,
@@ -597,19 +537,15 @@ class CompiledCircuit:
         the previous chunk (None for the first chunk, which instead
         starts with the prepended settling pattern and ``drop_first``).
         ``start_index`` is the global pattern index of the chunk's first
-        element (-1 for the settling pattern), forwarded to fault hooks.
-        ``recorder``, when set, captures the value plane instead of
-        computing arrivals.
+        element (-1 for the settling pattern).  ``recorder``, when set,
+        captures the value plane instead of computing arrivals.
 
         Holds dense ``(num_nets, n)`` value / may / transition (and,
         unless recording, arrival) matrices and evaluates one
-        (level, opcode) bucket per batched kernel call; cells with
-        hooked outputs run through the scalar fallback after their
-        level's buckets so downstream buckets see the faulted rows.
+        (level, opcode) bucket per batched kernel call.
         """
-        fault_hooks = self.fault_hooks
         netlist = self.netlist
-        plan = self.soa_value_plan()
+        plan = self.soa_plan()
         n = next(iter(arrays.values())).shape[0]
         num_nets = self.num_nets
         inertial = self.mode == "inertial"
@@ -634,7 +570,7 @@ class CompiledCircuit:
             sig_sum[CONST1] = n
         new_held: Dict[int, int] = {}
 
-        for net, cur in self._input_rows(arrays, start_index):
+        for net, cur in self._input_rows(arrays):
             flags = logic.changed_matrix(
                 cur,
                 None if carry_values is None else carry_values[net],
@@ -645,14 +581,12 @@ class CompiledCircuit:
             if recorder is not None:
                 recorder.net_may(net, flags)
                 if record_values:
-                    recorder.net_values(net, cur)
+                    recorder.net_values(net, cur, T[net])
             if collect_net_stats:
                 sig_sum[net] = cur.sum()
                 tog_sum[net] = flags.sum()
 
-        group_enable_net = netlist.group_enables
-
-        for bucket_list, scalars in zip(plan.levels, plan.scalar_levels):
+        for bucket_list in plan.levels:
             for bucket in bucket_list:
                 pins = bucket.pins
                 outs = bucket.outputs
@@ -683,8 +617,6 @@ class CompiledCircuit:
                     recorder.cell_bucket(
                         bucket.positions, outs, out_may, aux
                     )
-                    if record_values:
-                        recorder.bucket_values(outs, out_val)
                 V[outs] = out_val
                 M[outs] = out_may
                 in_trans = [T[pins[j]] for j in range(pins.shape[0])]
@@ -693,6 +625,8 @@ class CompiledCircuit:
                     damping=damping,
                 )
                 T[outs] = out_trans
+                if record_values:
+                    recorder.bucket_values(outs, out_val, out_trans)
                 # Reduce over the cell axis with an explicit sum (not a
                 # BLAS matvec): the pairwise accumulation then depends
                 # only on the bucket size, so chunked and unchunked runs
@@ -702,65 +636,8 @@ class CompiledCircuit:
                     sig_sum[outs] = out_val.sum(axis=1)
                     tog_sum[outs] = changed.sum(axis=1)
 
-            for compiled in scalars:
-                ins = compiled.inputs
-                in_vals = [V[p] for p in ins]
-                out_val = logic.eval_vector(compiled.opcode, in_vals)
-                net = compiled.output
-                out_val = np.asarray(
-                    fault_hooks[net](out_val, start_index), dtype=np.uint8
-                )
-                changed = logic.changed_matrix(
-                    out_val,
-                    None if carry_values is None else carry_values[net],
-                )
-                aux = logic.aux_masks(compiled.opcode, in_vals)
-                if inertial:
-                    out_may = changed
-                else:
-                    out_may = logic.may_vector(
-                        compiled.opcode, in_vals, [M[p] for p in ins], aux
-                    )
-                if recorder is None:
-                    A[net] = logic.arrival_masks(
-                        compiled.opcode,
-                        aux,
-                        [A[p] for p in ins],
-                        compiled.delay_ns,
-                        out_may,
-                    )
-                else:
-                    recorder.cell(compiled.position, net, out_may, aux)
-                    if record_values:
-                        recorder.net_values(net, out_val)
-                V[net] = out_val
-                M[net] = out_may
-                out_trans = logic.transition_vector(
-                    compiled.opcode,
-                    in_vals,
-                    [T[p] for p in ins],
-                    changed,
-                    damping=damping,
-                )
-                T[net] = out_trans
-                switched += out_trans * compiled.cap
-                if collect_net_stats:
-                    if (
-                        compiled.group is not None
-                        and compiled.group in group_enable_net
-                    ):
-                        enable = V[group_enable_net[compiled.group]]
-                        toggles, held_final = logic.tribuf_masked_toggles(
-                            out_val, enable, carry_held.get(net)
-                        )
-                        new_held[net] = held_final
-                        tog_sum[net] = toggles.sum()
-                    else:
-                        tog_sum[net] = changed.sum()
-                    sig_sum[net] = out_val.sum()
-
         if collect_net_stats:
-            # Bucketed bypass-group cells: replace the functional toggle
+            # Bypass-group cells: replace the functional toggle
             # count with the tri-state-hold count (all values exist by
             # now, so the fixup is order-independent).
             for net, enable_net in plan.grouped:

@@ -9,7 +9,10 @@ check the bucketed code against the cell semantics directly:
 
 * :func:`reference_run` reproduces :meth:`CompiledCircuit.run` (values,
   delays, bit arrivals, net stats; switched capacitance up to float
-  association, since the engine sums it per bucket);
+  association, since the engine sums it per bucket).  It alone still
+  takes value-fault hooks: it is the oracle the fault campaign's cone
+  replays (:func:`repro.timing.delta.replay_delta` overrides) are
+  checked against;
 * :func:`reference_replay` reproduces :meth:`ArrivalReplay.replay` bit
   for bit, through :func:`repro.timing.logic.arrival_masks`.
 
@@ -20,7 +23,7 @@ dropping each net's streams after its last consumer ran.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +32,13 @@ from . import logic
 from .engine import CompiledCircuit, StreamResult, _prefix_settling
 from .replay import ReplayResult, ValuePlane
 
-__all__ = ["reference_replay", "reference_run"]
+__all__ = ["FaultHook", "reference_replay", "reference_run"]
+
+#: A value-fault hook: maps a net's per-pattern bit stream to the faulted
+#: stream.  ``start_index`` is the *global* index of the first element
+#: (-1 for the prepended settling pattern).  Hooks must be pure
+#: functions of their arguments.
+FaultHook = Callable[[np.ndarray, int], np.ndarray]
 
 
 def _dead_after(circuit: CompiledCircuit) -> Dict[int, int]:
@@ -67,17 +76,22 @@ def reference_run(
     initial: Optional[Dict[str, int]] = None,
     collect_bit_arrivals: bool = False,
     collect_net_stats: bool = False,
+    fault_hooks: Optional[Dict[int, FaultHook]] = None,
 ) -> StreamResult:
     """The value pass of :meth:`CompiledCircuit.run`, one cell at a time.
 
-    Fault hooks apply exactly as in the engine (global pattern indices,
-    -1 for the settling pattern); bypass-group cells hold their value
-    while their enable is low when counting toggles.
+    ``fault_hooks`` (net id -> :data:`FaultHook`, see
+    :func:`repro.faults.injector.build_fault_hooks`) rewrite a net's
+    settled-value stream before change detection, over the whole stream
+    at once (start index -1, the settling pattern), so arrivals,
+    switching activity and downstream logic all see the faulted values.
+    Bypass-group cells hold their value while their enable is low when
+    counting toggles.
     """
     arrays = _prefix_settling(
         circuit._check_stimulus(stimulus, initial), initial
     )
-    fault_hooks = circuit.fault_hooks
+    fault_hooks = fault_hooks or {}
     netlist = circuit.netlist
     n = next(iter(arrays.values())).shape[0]
     zeros_f = np.zeros(n)

@@ -30,7 +30,7 @@ base one row per net.
 
 Bit-identity contract: for any scale vector ``s``,
 ``ArrivalReplay(circuit, plane).replay(s)`` reproduces
-``CompiledCircuit(netlist, tech, s, mode, hooks).run(stimulus)`` bit for
+``CompiledCircuit(netlist, tech, s, mode).run(stimulus)`` bit for
 bit -- the same elementwise float ops as
 :func:`repro.timing.logic.arrival_masks`, same quiet-zero invariant,
 regardless of how the plane build was chunked.  This is asserted by
@@ -149,10 +149,10 @@ class _PlaneRecorder:
 
     The engine calls :meth:`begin` once per chunk with the chunk's first
     *reported* pattern index (always a multiple of 8 -- ``run`` enforces
-    byte-aligned chunk sizes when recording), then :meth:`net_may` /
-    :meth:`cell` once per net/cell; masks are packed straight into their
-    byte range, so chunked and unchunked builds produce identical
-    planes.
+    byte-aligned chunk sizes when recording), then :meth:`net_may` once
+    per primary input and :meth:`cell_bucket` once per bucket; masks
+    are packed straight into their byte range, so chunked and unchunked
+    builds produce identical planes.
     """
 
     def __init__(self, circuit: CompiledCircuit, num_patterns: int):
@@ -180,16 +180,9 @@ class _PlaneRecorder:
     def net_may(self, net: int, flags: np.ndarray) -> None:
         self._pack_into(self.may[net], flags)
 
-    def cell(self, position, net, out_may, aux) -> None:
-        self._pack_into(self.may[net], out_may)
-        offset = int(self.aux_offsets[position])
-        for lane, mask in enumerate(aux):
-            self._pack_into(self.aux[offset + lane], mask)
-
     def cell_bucket(self, positions, nets, out_may, aux) -> None:
-        """Batched :meth:`cell` for one SoA bucket: ``out_may`` is
-        ``(B, n)`` and each aux mask ``(B, n)``; rows pack straight into
-        their byte ranges exactly like the scalar path."""
+        """Record one SoA bucket: ``out_may`` is ``(B, n)`` and each aux
+        mask ``(B, n)``; rows pack straight into their byte ranges."""
         packed = np.packbits(out_may[:, self._lo:], axis=1)
         width = packed.shape[1]
         self.may[nets, self._byte:self._byte + width] = packed
@@ -212,9 +205,7 @@ def build_value_plane(
 ) -> ValuePlane:
     """Run the value pass once and capture a :class:`ValuePlane`.
 
-    The circuit's fault hooks (if any) apply during the pass, so the
-    recorded values and masks are the *faulted* stream -- a plane is
-    specific to its hook set exactly like a full run is.  ``chunk_size``
+    ``chunk_size``
     bounds peak memory as in :meth:`CompiledCircuit.run`; integer sizes
     are rounded up to a multiple of 8 so packed chunks stay
     byte-aligned.
@@ -305,7 +296,7 @@ class ArrivalReplay:
     to the fresh (unaged) library delays -- exactly the ``delay_scale``
     argument of :class:`CompiledCircuit` -- independent of whatever
     scale the bound circuit itself was compiled with (only its
-    structure, mode and hooks matter; values are delay-free).
+    structure and mode matter; values are delay-free).
     """
 
     def __init__(self, circuit: CompiledCircuit, plane: ValuePlane):
@@ -375,7 +366,7 @@ class ArrivalReplay:
         never reused, so they are read once the chunk is done.
         """
         circuit = self.circuit
-        plan = circuit.soa_replay_plan()
+        plan = circuit.soa_plan()
         schedule = circuit.replay_schedule()
         k = scales.shape[0]
         n = self.plane.num_patterns

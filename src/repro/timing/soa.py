@@ -21,19 +21,10 @@ the levelized cell list into a **bucketed SoA plan** evaluated a whole
 All cells sharing an opcode have the same pin count (opcodes encode the
 cell arity), which is what makes the rectangular gather matrix valid.
 
-**Hook fallback rule**: a cell whose *output* net carries a fault hook
-falls out of its bucket into a per-level scalar list; the engine runs
-those cells through the original per-cell path (hooks are opaque
-callables operating on one net's stream), interleaved at the right
-level so downstream buckets observe the faulted values.  Input-port
-hooks need no fallback -- they rewrite the port rows before any bucket
-runs.  Arrival *replay* ignores hooks entirely (the recorded plane
-already contains the faulted masks), so replay uses the plan built with
-an empty hook set.
-
 Bucket evaluation reuses the exact elementwise kernels of
 :mod:`repro.timing.logic` on stacked ``(B, n)`` rows, so every per-cell
-float/int op sequence is identical to the scalar path -- bucketing
+float/int op sequence is identical to the per-cell reference
+(:mod:`repro.timing.reference`) -- bucketing
 changes the iteration order, not the arithmetic.  (The only aggregate
 that sums *across* cells, switched capacitance, is accumulated
 per-bucket and may therefore differ from the per-cell path by float
@@ -55,6 +46,7 @@ __all__ = [
     "build_replay_schedule",
     "build_soa_plan",
     "identity_schedule",
+    "pack_level",
 ]
 
 
@@ -90,34 +82,49 @@ class LevelBucket:
 
 @dataclasses.dataclass
 class SoAPlan:
-    """Bucketed levels plus the scalar-fallback cells per level.
+    """Bucketed levels of one circuit.
 
     ``levels[d]`` holds the opcode buckets of level ``d`` (insertion
     order: first-seen opcode first, cells inside a bucket in levelized
-    order); ``scalar_levels[d]`` the hooked-output cells evaluated
-    through the per-cell path after the level's buckets.  ``grouped``
-    lists ``(output net, enable net)`` pairs of bucketed bypass-group
-    cells, for the tri-state-hold toggle fixup (scalar cells handle
-    their own group stats inline, exactly like the per-cell path).
+    order).  ``grouped`` lists ``(output net, enable net)`` pairs of
+    bypass-group cells, for the tri-state-hold toggle fixup.
     """
 
     levels: List[List[LevelBucket]]
-    scalar_levels: List[List]
     grouped: List[Tuple[int, int]]
     num_levels: int
-    num_bucketed: int
-    num_scalar: int
 
 
-def build_soa_plan(cells, netlist, hooked_nets) -> SoAPlan:
+def pack_level(members) -> List[LevelBucket]:
+    """Bucket one level's compiled cells by opcode: first-seen opcode
+    first, members kept in the given (levelized position) order."""
+    per_opcode: Dict[int, List] = {}
+    for compiled in members:
+        per_opcode.setdefault(compiled.opcode, []).append(compiled)
+    return [
+        LevelBucket(
+            opcode=opcode,
+            positions=np.array([c.position for c in group], dtype=np.intp),
+            pins=np.array([c.inputs for c in group], dtype=np.intp).T.copy(),
+            outputs=np.array([c.output for c in group], dtype=np.intp),
+            cell_indices=np.array([c.index for c in group], dtype=np.intp),
+            fresh_delays=np.array(
+                [c.fresh_delay_ns for c in group], dtype=float
+            ),
+            delays=np.array([c.delay_ns for c in group], dtype=float),
+            caps=np.array([c.cap for c in group], dtype=float),
+        )
+        for opcode, group in per_opcode.items()
+    ]
+
+
+def build_soa_plan(cells, netlist) -> SoAPlan:
     """Compile levelized ``_CompiledCell`` s into an :class:`SoAPlan`.
 
     Args:
         cells: The circuit's levelized compiled cells (topological
             order -- every driver precedes its consumers).
         netlist: The owning netlist (supplies bypass-group enables).
-        hooked_nets: Net ids carrying fault hooks; cells driving one of
-            them become scalar-fallback cells.
     """
     level_of_net: Dict[int, int] = {}
     cell_levels = []
@@ -133,63 +140,17 @@ def build_soa_plan(cells, netlist, hooked_nets) -> SoAPlan:
         if level + 1 > num_levels:
             num_levels = level + 1
 
-    buckets: List[Dict[int, List]] = [{} for _ in range(num_levels)]
-    scalar_levels: List[List] = [[] for _ in range(num_levels)]
+    members: List[List] = [[] for _ in range(num_levels)]
     grouped: List[Tuple[int, int]] = []
     group_enable = netlist.group_enables
-    num_scalar = 0
     for compiled, level in zip(cells, cell_levels):
-        if compiled.output in hooked_nets:
-            scalar_levels[level].append(compiled)
-            num_scalar += 1
-            continue
-        buckets[level].setdefault(compiled.opcode, []).append(compiled)
+        members[level].append(compiled)
         if compiled.group is not None and compiled.group in group_enable:
             grouped.append(
                 (compiled.output, group_enable[compiled.group])
             )
-
-    levels: List[List[LevelBucket]] = []
-    for per_opcode in buckets:
-        packed = []
-        for opcode, members in per_opcode.items():
-            pins = np.array(
-                [c.inputs for c in members], dtype=np.intp
-            ).T.copy()
-            packed.append(
-                LevelBucket(
-                    opcode=opcode,
-                    positions=np.array(
-                        [c.position for c in members], dtype=np.intp
-                    ),
-                    pins=pins,
-                    outputs=np.array(
-                        [c.output for c in members], dtype=np.intp
-                    ),
-                    cell_indices=np.array(
-                        [c.index for c in members], dtype=np.intp
-                    ),
-                    fresh_delays=np.array(
-                        [c.fresh_delay_ns for c in members], dtype=float
-                    ),
-                    delays=np.array(
-                        [c.delay_ns for c in members], dtype=float
-                    ),
-                    caps=np.array(
-                        [c.cap for c in members], dtype=float
-                    ),
-                )
-            )
-        levels.append(packed)
-
-    return SoAPlan(
-        levels=levels,
-        scalar_levels=scalar_levels,
-        grouped=grouped,
-        num_levels=num_levels,
-        num_bucketed=len(cells) - num_scalar,
-        num_scalar=num_scalar,
-    )
+    levels = [pack_level(level_cells) for level_cells in members]
+    return SoAPlan(levels=levels, grouped=grouped, num_levels=num_levels)
 
 
 @dataclasses.dataclass

@@ -6,17 +6,9 @@ A :class:`~repro.timing.replay.ValuePlane` is a pure function of
 * the **stimulus** (and optional ``initial`` settling state),
 * the delay-semantics **mode** (may-masks differ between ``inertial``
   and ``floating``),
-* the technology's ``glitch_damping`` (switched-capacitance stream),
-* the **fault hooks** compiled into the circuit (hooks rewrite the
-  value streams, so a faulty plane is a different plane).
+* the technology's ``glitch_damping`` (switched-capacitance stream).
 
 :func:`plane_cache_key` folds all of those into one sha256 hex digest.
-Fault hooks are opaque callables, so a hook participates only if it
-carries a ``cache_key`` attribute (the fault injector attaches the
-fault's ``site_id()``, see :func:`repro.faults.injector
-.build_fault_hooks`); any hook without one makes the circuit uncacheable
-and :meth:`ValuePlaneCache.get_or_build` silently bypasses the cache --
-correctness never depends on hook authors opting in.
 
 On-disk entries follow the fingerprint-guard idiom of
 :mod:`repro.faults.store`: each entry is a single ``.npz`` written
@@ -97,28 +89,13 @@ def stimulus_digest(stimulus: Dict[str, Sequence[int]]) -> str:
     return h.hexdigest()
 
 
-def hooks_cache_key(fault_hooks: Dict[int, object]) -> Optional[str]:
-    """Stable key for a fault-hook set, or None if any hook is opaque
-    (no ``cache_key`` attribute) -- None means *bypass the cache*."""
-    parts = []
-    for net in sorted(fault_hooks):
-        key = getattr(fault_hooks[net], "cache_key", None)
-        if key is None:
-            return None
-        parts.append("%d=%s" % (net, key))
-    return ";".join(parts)
-
-
 def plane_cache_key(
     circuit: CompiledCircuit,
     stimulus: Dict[str, Sequence[int]],
     initial: Optional[Dict[str, int]] = None,
     collect_net_stats: bool = False,
-) -> Optional[str]:
-    """The cache key for a plane build, or None when uncacheable."""
-    hooks = hooks_cache_key(circuit.fault_hooks)
-    if hooks is None and circuit.fault_hooks:
-        return None
+) -> str:
+    """The cache key for a plane build."""
     h = hashlib.sha256()
     h.update(
         json.dumps(
@@ -131,7 +108,9 @@ def plane_cache_key(
                 "stimulus": stimulus_digest(stimulus),
                 "initial": sorted((initial or {}).items()),
                 "net_stats": bool(collect_net_stats),
-                "hooks": hooks or "",
+                # Always empty since circuits carry no fault hooks;
+                # kept so keys of planes already on disk stay valid.
+                "hooks": "",
                 # Patched circuits (repro.timing.delta.patch_compiled)
                 # share the child's structural fingerprint with a
                 # from-scratch compile, but their plans were derived
@@ -234,7 +213,6 @@ class ValuePlaneCache:
         self.hits = 0
         self.disk_hits = 0
         self.misses = 0
-        self.bypasses = 0
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, "plane-%s.npz" % key[:32])
@@ -245,7 +223,6 @@ class ValuePlaneCache:
             "hits": self.hits,
             "disk_hits": self.disk_hits,
             "misses": self.misses,
-            "bypasses": self.bypasses,
         }
 
     def get_or_build(
@@ -257,20 +234,10 @@ class ValuePlaneCache:
         chunk_size="auto",
     ) -> ValuePlane:
         """Return the plane for (circuit, stimulus), building at most
-        once per key.  Uncacheable circuits (opaque fault hooks) always
-        build fresh."""
+        once per key."""
         key = plane_cache_key(
             circuit, stimulus, initial, collect_net_stats
         )
-        if key is None:
-            self.bypasses += 1
-            return build_value_plane(
-                circuit,
-                stimulus,
-                initial=initial,
-                collect_net_stats=collect_net_stats,
-                chunk_size=chunk_size,
-            )
         plane = self._memory.pop(key, None)
         if plane is not None:
             self._memory[key] = plane  # refresh LRU position

@@ -32,12 +32,8 @@ from repro.experiments.sweep import (
     enumerate_variants,
     render_payload,
 )
-from repro.faults.injector import (
-    compile_with_faults,
-    fault_delay_scale,
-    fault_delay_scales,
-)
-from repro.faults.models import DelayFault, StuckAtFault
+from repro.faults.injector import fault_delay_scale, fault_delay_scales
+from repro.faults.models import DelayFault
 from repro.nets import Mutation, apply_mutations, retype, tie_high, tie_low
 from repro.nets.netlist import CONST0
 from repro.timing import ArrivalReplay, CompiledCircuit, build_value_plane
@@ -229,17 +225,6 @@ class TestPatchCompiled:
         assert len(twice.delta_lineage) == 2
         assert twice.delta_lineage[0] == patched.delta_lineage[0]
 
-    def test_hooked_parent_rejected(self, design):
-        netlist = design["netlist"]
-        hooked = compile_with_faults(
-            netlist, [StuckAtFault(net=netlist.cells[0].output, value=0)]
-        )
-        child = apply_mutations(
-            netlist, [swap_of(netlist, retypable_cells(netlist)[0])]
-        )
-        with pytest.raises(DeltaError):
-            patch_compiled(hooked, child)
-
     def test_foreign_delta_rejected(self, design):
         netlist = design["netlist"]
         parent = CompiledCircuit(netlist)
@@ -258,7 +243,7 @@ class TestPatchCompiled:
         # garbage.
         netlist = design["netlist"]
         parent = CompiledCircuit(netlist)
-        plan = parent.soa_value_plan()
+        plan = parent.soa_plan()
         cells = parent._cells
         victim = other = None
         for buckets in plan.levels:
@@ -422,20 +407,39 @@ class TestDeltaErrors:
                 ),
             )
 
-    def test_hooked_circuit_cannot_build_base(self, design):
-        netlist = design["netlist"]
-        hooked = compile_with_faults(
-            netlist, [StuckAtFault(net=netlist.cells[0].output, value=1)]
-        )
-        with pytest.raises(DeltaError):
-            build_delta_plane(hooked, design["stimulus"])
-
     def test_ragged_stimulus_rejected(self, design):
         circuit = CompiledCircuit(design["netlist"])
         with pytest.raises(DeltaError):
             build_delta_plane(
                 circuit, {"md": [1, 2, 3], "mr": [1, 2]}
             )
+
+    def test_malformed_overrides_rejected(self, design, base):
+        netlist = design["netlist"]
+        net = netlist.cells[0].output
+        row = np.zeros(base.num_patterns + 1, dtype=np.uint8)
+        child = apply_mutations(
+            netlist, [swap_of(netlist, retypable_cells(netlist)[0])]
+        )
+        bad = [
+            dict(overrides={net: row[1:]}),  # no settling entry
+            dict(overrides={net: row + 2}),  # not bits
+            dict(overrides={CONST0: row}),  # a rail
+            dict(overrides={netlist.num_nets: row}),  # out of range
+            dict(overrides={net: row}, child=child),
+            dict(overrides={net: row}, max_cone_fraction=0.5),
+        ]
+        for kwargs in bad:
+            with pytest.raises(DeltaError):
+                replay_delta(base, **kwargs)
+
+    def test_value_cone_needs_transitions_for_a_stream(self, base):
+        net = base.circuit.netlist.cells[0].output
+        row = np.ones(base.num_patterns + 1, dtype=np.uint8)
+        result = replay_delta(base, overrides={net: row})
+        assert result.switched_caps is None
+        with pytest.raises(DeltaError, match="transitions"):
+            result.stream_result()
 
 
 class TestFaultDelayScales:

@@ -1,9 +1,9 @@
 """Distributed campaign execution (repro.distrib).
 
 The contract under test is byte-identity: any pool transport (local
-process pool, TCP workers, manifest files) and any sharding must merge
+process pool, TCP workers) and any sharding must merge
 to exactly the serial result -- sorted JSON and rendered text alike.
-The suite exercises the three transports end-to-end (TCP against real
+The suite exercises both transports end-to-end (TCP against real
 in-process servers), the JSON job protocol, and the merge validators
 (fingerprint mismatch, incomplete coverage, non-contiguous tiling).
 """
@@ -19,10 +19,8 @@ import pytest
 from repro.distrib.jobs import JOB_KINDS, clear_state_cache, run_job
 from repro.distrib.pool import (
     LocalPool,
-    ManifestPool,
     TcpPool,
     WorkerPool,
-    execute_manifest,
     local_worker,
     parse_pool_spec,
     run_campaign_pooled,
@@ -30,12 +28,7 @@ from repro.distrib.pool import (
     run_suite_pooled,
 )
 from repro.distrib.worker import WorkerServer
-from repro.errors import (
-    ConfigError,
-    DistribError,
-    FaultError,
-    ManifestPending,
-)
+from repro.errors import ConfigError, DistribError, FaultError
 from repro.experiments.scheduler import shard_ranges
 from repro.faults.campaign import (
     campaign_from_spec,
@@ -103,13 +96,15 @@ class TestParsePoolSpec:
         assert pool.size == 2
 
     def test_manifest(self, tmp_path):
-        pool = parse_pool_spec("manifest:%s" % tmp_path)
-        assert isinstance(pool, ManifestPool)
-        assert pool.directory == str(tmp_path) and pool.size == 2
+        # The two-phase manifest pool is gone: its spec is a typed
+        # configuration error, not a pool.
+        with pytest.raises(ConfigError, match="unknown pool scheme"):
+            parse_pool_spec("manifest:%s" % tmp_path)
+        assert not os.listdir(str(tmp_path))
 
     def test_manifest_with_shards(self, tmp_path):
-        pool = parse_pool_spec("manifest:%s:5" % tmp_path)
-        assert pool.directory == str(tmp_path) and pool.size == 5
+        with pytest.raises(ConfigError, match="known schemes: local, tcp"):
+            parse_pool_spec("manifest:%s:5" % tmp_path)
 
     def test_unknown_scheme_did_you_mean(self):
         with pytest.raises(ConfigError, match="did you mean 'local'"):
@@ -369,34 +364,6 @@ class TestTcpTransport:
             pool.map([{"op": "ping"}])
 
 
-class TestManifestTransport:
-    def test_two_phase_flow(self, tmp_path, serial_campaign):
-        _, expected = serial_campaign
-        directory = str(tmp_path / "shared")
-        pool = ManifestPool(directory)
-        with pytest.raises(ManifestPending) as info:
-            campaign_from_spec(CAMPAIGN_SPEC).run(pool=pool)
-        assert info.value.directory == directory
-        assert info.value.missing > 0
-        executed = execute_manifest(directory)
-        assert executed == info.value.missing
-        pooled = campaign_from_spec(CAMPAIGN_SPEC).run(pool=pool)
-        assert _campaign_json(pooled) == expected
-
-    def test_claims_prevent_double_execution(self, tmp_path):
-        directory = str(tmp_path / "shared")
-        pool = ManifestPool(directory)
-        with pytest.raises(ManifestPending):
-            pool.map([{"job": "ping"}, {"job": "ping"}])
-        assert execute_manifest(directory) == 2
-        # A second executor finds everything claimed + done.
-        assert execute_manifest(directory) == 0
-
-    def test_exec_without_requests_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="no manifest requests"):
-            execute_manifest(str(tmp_path / "empty"))
-
-
 class TestSuitePooled:
     def test_errors_degrade_not_raise(self):
         class OneShotPool(WorkerPool):
@@ -472,7 +439,7 @@ class TestCliPlumbing:
 
         args = make_parser().parse_args(
             ["--shard", "1/2", "--shard-json", "x.json",
-             "--pool", "manifest:/tmp/x"]
+             "--pool", "tcp:hostA:9100"]
         )
         assert args.shard == (1, 2)
         assert args.shard_json == "x.json"

@@ -1,4 +1,4 @@
-"""Fault models, injection hooks and campaign sweeps."""
+"""Fault models, injection (override rows, hooks) and campaign sweeps."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,15 @@ from repro.faults import (
     StuckAtFault,
     TransientBitFlip,
     build_fault_hooks,
-    compile_with_faults,
     enumerate_fault_sites,
     fault_delay_scale,
+    value_overrides,
 )
 from repro.timing import CompiledCircuit
+from repro.timing.delta import DeltaBase
 from repro.workloads import uniform_operands
+
+from faultpaths import delta_stream
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +54,9 @@ class TestFaultModelValidation:
 
     def test_out_of_range_targets_rejected(self, cb4):
         with pytest.raises(FaultError):
-            compile_with_faults(cb4, [StuckAtFault(10 ** 6, 0)])
+            build_fault_hooks(cb4, [StuckAtFault(10 ** 6, 0)])
         with pytest.raises(FaultError):
-            compile_with_faults(cb4, [DelayFault(10 ** 6, 0.1)])
+            fault_delay_scale(cb4, [DelayFault(10 ** 6, 0.1)])
 
     def test_fault_error_is_simulation_error(self):
         assert issubclass(FaultError, SimulationError)
@@ -64,9 +67,10 @@ class TestInjection:
         # Stick the LSB product bit at 1: odd products unchanged, even
         # products gain bit 0.
         lsb = cb4.output_ports["p"].nets[0]
-        circuit = compile_with_faults(cb4, [StuckAtFault(lsb, 1)])
         md, mr = uniform_operands(4, 200, seed=3)
-        result = circuit.run({"md": md, "mr": mr})
+        result = delta_stream(
+            cb4, [StuckAtFault(lsb, 1)], {"md": md, "mr": mr}
+        )
         assert np.array_equal(
             result.outputs["p"], (md * mr) | np.uint64(1)
         )
@@ -74,22 +78,21 @@ class TestInjection:
     def test_transient_flip_rate_and_determinism(self, cb4):
         lsb = cb4.output_ports["p"].nets[0]
         fault = TransientBitFlip(lsb, 0.25, seed=11)
-        circuit = compile_with_faults(cb4, [fault])
         md, mr = uniform_operands(4, 4000, seed=5)
-        flipped = circuit.run({"md": md, "mr": mr}).outputs["p"]
+        stim = {"md": md, "mr": mr}
+        flipped = delta_stream(cb4, [fault], stim).outputs["p"]
         corrupted = flipped != (md * mr)
         assert 0.15 < corrupted.mean() < 0.35
-        again = circuit.run({"md": md, "mr": mr}).outputs["p"]
+        again = delta_stream(cb4, [fault], stim).outputs["p"]
         assert np.array_equal(flipped, again)
 
     def test_transient_flip_chunking_independent(self, cb4):
         lsb = cb4.output_ports["p"].nets[0]
-        circuit = compile_with_faults(
-            cb4, [TransientBitFlip(lsb, 0.3, seed=7)]
-        )
+        faults = [TransientBitFlip(lsb, 0.3, seed=7)]
         md, mr = uniform_operands(4, 500, seed=9)
-        whole = circuit.run({"md": md, "mr": mr})
-        chunked = circuit.run({"md": md, "mr": mr}, chunk_size=64)
+        stim = {"md": md, "mr": mr}
+        whole = delta_stream(cb4, faults, stim, chunk_size=None)
+        chunked = delta_stream(cb4, faults, stim, chunk_size=64)
         assert np.array_equal(whole.outputs["p"], chunked.outputs["p"])
         assert np.allclose(whole.delays, chunked.delays)
 
@@ -98,8 +101,9 @@ class TestInjection:
         md, mr = uniform_operands(4, 300, seed=13)
         base = pristine.run({"md": md, "mr": mr})
         victim = len(cb4.cells) // 2
-        faulty = compile_with_faults(cb4, [DelayFault(victim, 0.8)])
-        slow = faulty.run({"md": md, "mr": mr})
+        slow = delta_stream(
+            cb4, [DelayFault(victim, 0.8)], {"md": md, "mr": mr}
+        )
         assert np.array_equal(base.outputs["p"], slow.outputs["p"])
         assert slow.delays.max() >= base.delays.max()
         assert np.all(slow.delays >= base.delays - 1e-12)
@@ -120,6 +124,24 @@ class TestInjection:
         values = np.ones(5, dtype=np.uint8)
         # Stuck-at applied last wins over the flip.
         assert np.all(hooks[lsb](values, 0) == 0)
+
+    def test_nested_value_faults_rejected(self, cb4):
+        # An override row is derived from the pristine stream, which a
+        # faulted net downstream of another faulted net never sees.
+        md, mr = uniform_operands(4, 64, seed=3)
+        base = DeltaBase(
+            CompiledCircuit(cb4), {"md": md, "mr": mr},
+            np.ones(len(cb4.cells)),
+        )
+        upstream = cb4.input_ports["md"].nets[0]
+        downstream = cb4.output_ports["p"].nets[0]
+        assert downstream in base.downstream_nets([upstream])
+        with pytest.raises(FaultError, match="downstream"):
+            value_overrides(
+                base,
+                [StuckAtFault(upstream, 1),
+                 TransientBitFlip(downstream, 0.5)],
+            )
 
     def test_enumerate_sites_deterministic(self, cb4):
         a = enumerate_fault_sites(cb4, limit=20, seed=4)
@@ -143,9 +165,7 @@ class TestZeroFaultEquivalence:
         pristine = CompiledCircuit(netlist, mode=mode).run(
             {"md": md, "mr": mr}
         )
-        hooked = compile_with_faults(netlist, [], mode=mode).run(
-            {"md": md, "mr": mr}
-        )
+        hooked = delta_stream(netlist, [], {"md": md, "mr": mr}, mode=mode)
         assert np.array_equal(pristine.outputs["p"], hooked.outputs["p"])
         assert np.array_equal(pristine.delays, hooked.delays)
         assert np.array_equal(

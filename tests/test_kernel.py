@@ -3,8 +3,10 @@
 The structure-of-arrays engine and the per-cell reference interpreter
 (:mod:`repro.timing.reference`) must be bit-identical for every
 observable: output values, per-pattern delays, bit arrivals, toggle
-counts / signal probabilities, across chunk sizes, initial conditions,
-every fault-hook model and every recovery policy.  ``switched_caps`` is
+counts / signal probabilities, across chunk sizes, initial conditions
+and every recovery policy; faulty circuits, priced as cone replays
+against a pristine base, match the reference under the faults' value
+hooks for every fault model.  ``switched_caps`` is
 the one deliberate exception *against the reference*: the engine sums
 capacitance per bucket, a different float association (values
 identical to ~1 ulp, asserted with ``allclose``); within the engine it
@@ -22,7 +24,7 @@ from repro.aging.degradation import (
 from repro.arith import column_bypass_multiplier
 from repro.core.architecture import AgingAwareMultiplier
 from repro.errors import SimulationError
-from repro.faults.injector import compile_with_faults
+from repro.faults.injector import value_overrides
 from repro.faults.models import DelayFault, StuckAtFault, TransientBitFlip
 from repro.nets import Netlist
 from repro.timing import (
@@ -36,9 +38,12 @@ from repro.timing import (
     unfold_stream,
 )
 from repro.timing import replay as replay_mod
+from repro.timing.delta import replay_delta
 from repro.timing.fold import MIN_FOLD_PATTERNS
 from repro.timing.reference import reference_replay, reference_run
 from repro.workloads import sparse_fir_stream, uniform_operands
+
+from faultpaths import delta_stream, oracle_stream
 
 
 @pytest.fixture(scope="module")
@@ -135,16 +140,15 @@ class TestFaultKernelEquivalence:
 
     @pytest.mark.parametrize("kind", ["sa0", "sa1", "seu", "delay"])
     def test_every_fault_model_matches_reference(self, cb8, stream8, kind):
-        circuit = compile_with_faults(cb8, self.faults_for(cb8, kind))
-        want = reference_run(circuit, stream8, collect_bit_arrivals=True)
-        got = circuit.run(stream8, collect_bit_arrivals=True)
+        faults = self.faults_for(cb8, kind)
+        want = oracle_stream(cb8, faults, stream8, collect_bit_arrivals=True)
+        got = delta_stream(cb8, faults, stream8, collect_bit_arrivals=True)
         assert_same(got, want, bit_arrivals=True, caps_exact=False)
 
     def test_multi_fault_chunked(self, cb8, stream8):
         faults = self.faults_for(cb8, "sa1") + self.faults_for(cb8, "seu")
-        circuit = compile_with_faults(cb8, faults)
-        want = reference_run(circuit, stream8)
-        got = circuit.run(stream8, chunk_size=96)
+        want = oracle_stream(cb8, faults, stream8)
+        got = delta_stream(cb8, faults, stream8, chunk_size=96)
         assert_same(got, want, caps_exact=False)
 
     @pytest.mark.parametrize(
@@ -190,20 +194,6 @@ class TestSignalProbabilities:
         md, mr = uniform_operands(width, 300, seed=23)
         initial = {"md": 0, "mr": (1 << width) - 1} if with_initial else None
         self.check(CompiledCircuit(netlist), {"md": md, "mr": mr}, initial)
-
-    @pytest.mark.parametrize("with_initial", [False, True])
-    def test_with_input_and_internal_hooks(self, cb8, stream8, with_initial):
-        faults = [
-            StuckAtFault(net=cb8.input_ports["md"].nets[2], value=1),
-            TransientBitFlip(net=cb8.input_ports["mr"].nets[5],
-                             rate=0.2, seed=4),
-            StuckAtFault(net=cb8.cells[21].output, value=0),
-            TransientBitFlip(net=cb8.cells[40].output, rate=0.1, seed=2),
-        ]
-        circuit = compile_with_faults(cb8, faults)
-        assert circuit.soa_value_plan().num_scalar == 2
-        initial = {"md": 255, "mr": 3} if with_initial else None
-        self.check(circuit, stream8, initial)
 
     def test_characterize_stress_matches_full_run(self, cb8):
         stim = characterization_stimulus(cb8.input_ports, 400, seed=7)
@@ -252,13 +242,13 @@ class TestFolding:
 
     def test_fold_bypassed_for_fault_hooks(self, cb8, foldable8):
         # TransientBitFlip keys off the *global* pattern index, which
-        # folding renumbers -- the engine must refuse to fold hooked
-        # circuits so flips stay deterministic.
+        # folding renumbers: fault sites replay against an unfolded base,
+        # so flips land exactly where the unfolded oracle puts them.
         faults = [TransientBitFlip(net=cb8.cells[40].output,
                                    rate=0.2, seed=7)]
-        circuit = compile_with_faults(cb8, faults)
-        got = circuit.run(foldable8, fold=True)
-        assert_same(got, circuit.run(foldable8))
+        got = delta_stream(cb8, faults, foldable8)
+        assert_same(got, oracle_stream(cb8, faults, foldable8),
+                    caps_exact=False)
 
     def test_fold_bypassed_for_net_stats(self, cb8, foldable8):
         # Per-net stats need per-pattern multiplicity; folding would
@@ -316,9 +306,10 @@ def schedule_case(case):
     elif case == "output_read":
         outputs.append(nl.and2(s0, c2))
     elif case == "hooked":
+        # Two independent sites (neither lies in the other's cone).
         faults = [
             StuckAtFault(net=c0, value=1),
-            TransientBitFlip(net=s1, rate=0.2, seed=4),
+            TransientBitFlip(net=t2, rate=0.2, seed=4),
         ]
     nl.add_output_port("p", outputs)
     return nl, faults
@@ -329,7 +320,7 @@ def assert_schedule_sound(circuit):
     schedule against it: no two simultaneously live nets share a row,
     exactly the reused rows are cleared, and every read finds its net's
     row intact."""
-    plan = circuit.soa_replay_plan()
+    plan = circuit.soa_plan()
     schedule = circuit.replay_schedule()
     row_of = schedule.row_of_net.tolist()
     end = len(plan.levels)
@@ -487,7 +478,7 @@ class TestReplayKernels:
         window = np.zeros((schedule.num_rows, 16, 2))[:, :8, :]
         with pytest.raises(SimulationError, match="contiguous"):
             replay_mod.replay_buckets(
-                circuit.soa_replay_plan(), schedule, plane, scales,
+                circuit.soa_plan(), schedule, plane, scales,
                 window, 0, 8,
             )
 
@@ -497,7 +488,7 @@ class TestReplayKernels:
         self, case, chunked, monkeypatch
     ):
         netlist, faults = schedule_case(case)
-        circuit = compile_with_faults(netlist, faults)
+        circuit = CompiledCircuit(netlist)
         rng = np.random.default_rng(11)
         stim = {name: rng.integers(0, 8, 203) for name in ("a", "b")}
         if chunked:
@@ -509,22 +500,35 @@ class TestReplayKernels:
         got = ArrivalReplay(circuit, plane).replay(
             scales, collect_bit_arrivals=True
         )
+        base = DeltaBase(circuit, stim, scales)
         wants = [
             reference_replay(
                 circuit, plane, scales, collect_bit_arrivals=True
-            )
+            ),
+            base.result(collect_bit_arrivals=True),
         ]
-        if not faults:  # delta bases need a hook-free circuit
-            wants.append(
-                DeltaBase(circuit, stim, scales).result(
-                    collect_bit_arrivals=True
-                )
-            )
         assert got.delays.any()
         for want in wants:
             assert np.array_equal(got.delays, want.delays)
             assert np.array_equal(got.bit_arrivals["p"],
                                   want.bit_arrivals["p"])
+        if faults:
+            # The faults replayed against the window-checked base match
+            # the reference under their hooks, corner by corner.
+            faulty = replay_delta(
+                base, overrides=value_overrides(base, faults),
+                collect_bit_arrivals=True,
+            )
+            for corner in range(scales.shape[0]):
+                want = oracle_stream(
+                    netlist, faults, stim, base_scale=scales[corner],
+                    collect_bit_arrivals=True,
+                )
+                assert np.array_equal(faulty.delays[corner], want.delays)
+                assert np.array_equal(
+                    faulty.bit_arrivals["p"][:, corner, :],
+                    want.bit_arrivals["p"],
+                )
         schedule = assert_schedule_sound(circuit)
         assert schedule.num_rows < circuit.num_nets
         if case == "dangling":
@@ -548,7 +552,7 @@ class TestReplayKernels:
         window = np.zeros((circuit.num_nets, 8, 2))
         with pytest.raises(SimulationError, match="rows"):
             replay_mod.replay_buckets(
-                circuit.soa_replay_plan(), circuit.replay_schedule(),
+                circuit.soa_plan(), circuit.replay_schedule(),
                 plane, scales, window, 0, 8,
             )
 
